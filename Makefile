@@ -75,7 +75,7 @@ bench:
 	$(GO) run ./cmd/benchdiff -bench 'E1ZeroRadius|E8Main' -count 5
 
 # BENCH_2.json: networked-billboard throughput — full Zero Radius runs
-# over HTTP, batched vs legacy wire protocol, with requests/op.
+# over HTTP on the batched wire protocol, with requests/op.
 bench-net:
 	$(GO) run ./cmd/benchdiff -suite netboard -count 3
 

@@ -5,10 +5,12 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"testing"
 	"time"
 
 	"tellme/internal/billboard"
+	"tellme/internal/bitvec"
 	"tellme/internal/boardclient"
 )
 
@@ -94,5 +96,157 @@ func TestBindContextSharesState(t *testing.T) {
 	}
 	if got := boardclient.BindContext(ctx, c); got == boardclient.Interface(c) {
 		t.Fatal("BindContext helper did not bind a cancellable context")
+	}
+
+	// The snapshot cache is shared: a tally fetched through the bound
+	// copy is the very entry the original serves while the topic is
+	// unchanged.
+	c.PostValues("t", 0, []uint32{1})
+	c.PostValues("t", 1, []uint32{1})
+	bv, cv := b.ValueVotes("t"), c.ValueVotes("t")
+	if len(bv) != 1 || len(cv) != 1 || &bv[0] != &cv[0] {
+		t.Fatalf("bound copy and original do not share the snapshot cache: %p vs %p", bv, cv)
+	}
+
+	// So is the degraded-mode record: a failure through either one shows
+	// through both.
+	c.OnError = func(error) {}
+	b = c.BindContext(ctx)
+	b.Postings("") // rejected: empty topic
+	if c.Err() == nil || c.Failures() != 1 {
+		t.Fatalf("failure through the bound copy not recorded on the original: err=%v failures=%d", c.Err(), c.Failures())
+	}
+	c.Postings("")
+	if b.Err() != c.Err() || b.Failures() != 2 {
+		t.Fatalf("failure through the original not recorded on the bound copy: err=%v failures=%d", b.Err(), b.Failures())
+	}
+}
+
+// boardCall is one call of a board method that issues a request.
+type boardCall struct {
+	name string
+	call func(b boardclient.Interface)
+}
+
+// requestingCalls lists a call of every boardclient.Interface method
+// that talks to a server (Err and Failures only read local state),
+// plus the admin methods Client and Cluster share.
+func requestingCalls() []boardCall {
+	vec := bitvec.New(4)
+	return []boardCall{
+		{"PostProbe", func(b boardclient.Interface) { b.PostProbe(0, 1, 1) }},
+		{"PostProbes", func(b boardclient.Interface) { b.PostProbes(0, []int{1, 2, 3}, []byte{1, 0, 1}) }},
+		{"LookupProbe", func(b boardclient.Interface) { b.LookupProbe(0, 1) }},
+		{"LookupProbes", func(b boardclient.Interface) {
+			b.LookupProbes(0, []int{1, 2, 3}, make([]byte, 3), make([]bool, 3))
+		}},
+		{"ProbedObjects", func(b boardclient.Interface) { b.ProbedObjects(0) }},
+		{"ForEachProbe", func(b boardclient.Interface) { b.ForEachProbe(0, func(int, byte) {}) }},
+		{"ProbeCount", func(b boardclient.Interface) { b.ProbeCount() }},
+		{"Post", func(b boardclient.Interface) { b.Post("t", 0, bitvec.PartialOf(vec)) }},
+		{"PostVector", func(b boardclient.Interface) { b.PostVector("t", 0, vec) }},
+		{"Postings", func(b boardclient.Interface) { b.Postings("t") }},
+		{"Votes", func(b boardclient.Interface) { b.Votes("t") }},
+		{"PopularVectors", func(b boardclient.Interface) { b.PopularVectors("t", 1) }},
+		{"PostValues", func(b boardclient.Interface) { b.PostValues("t", 0, []uint32{1}) }},
+		{"ValuePostings", func(b boardclient.Interface) { b.ValuePostings("t") }},
+		{"ValueVotes", func(b boardclient.Interface) { b.ValueVotes("t") }},
+		{"DropTopic", func(b boardclient.Interface) { b.DropTopic("t") }},
+		{"TopicCount", func(b boardclient.Interface) { b.TopicCount() }},
+		{"VectorPostCount", func(b boardclient.Interface) { b.VectorPostCount() }},
+		{"TopicSnapshot", func(b boardclient.Interface) { b.TopicSnapshot("t", 0, 0) }},
+		{"ClearProbes", func(b boardclient.Interface) {
+			b.(interface{ ClearProbes(int, []int) }).ClearProbes(0, []int{1, 2, 3})
+		}},
+		{"Quiesce", func(b boardclient.Interface) { b.(interface{ Quiesce() }).Quiesce() }},
+	}
+}
+
+// TestBoundViewCancelsEveryMethod runs every requesting method on a
+// bound Client and a bound Cluster against servers that never answer:
+// once the bound context is cancelled, each call must return promptly
+// with a *TransportError wrapping context.Canceled. A method left on
+// the background context would block until the test ends.
+func TestBoundViewCancelsEveryMethod(t *testing.T) {
+	arrived := make(chan struct{}, 1)
+	release := make(chan struct{})
+	block := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		select {
+		case arrived <- struct{}{}:
+		default:
+		}
+		select {
+		case <-release:
+		case <-r.Context().Done():
+		}
+	})
+	var urls []string
+	for range 2 {
+		srv := httptest.NewServer(block)
+		t.Cleanup(srv.Close)
+		urls = append(urls, srv.URL)
+	}
+	t.Cleanup(func() { close(release) }) // runs before the servers close
+
+	var mu sync.Mutex
+	var errs []error
+	onError := func(err error) {
+		mu.Lock()
+		errs = append(errs, err)
+		mu.Unlock()
+	}
+	c := NewClientWithConfig(urls[0], Config{OnError: onError})
+	cl, err := NewCluster(ClusterConfig{Shards: urls, Client: Config{OnError: onError}})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	clientCalls := append(requestingCalls(), boardCall{"Topics", func(b boardclient.Interface) { b.(*Client).Topics() }})
+	for _, tc := range []struct {
+		name  string
+		board boardclient.ContextBinder
+		calls []boardCall
+	}{
+		{"Client", c, clientCalls},
+		{"Cluster", cl, requestingCalls()},
+	} {
+		for _, call := range tc.calls {
+			mu.Lock()
+			errs = nil
+			mu.Unlock()
+			for len(arrived) > 0 {
+				<-arrived
+			}
+			ctx, cancel := context.WithCancel(context.Background())
+			b := tc.board.BindContext(ctx)
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				call.call(b)
+			}()
+			select {
+			case <-arrived:
+			case <-time.After(5 * time.Second):
+				t.Fatalf("%s.%s: no request reached the server", tc.name, call.name)
+			}
+			cancel()
+			select {
+			case <-done:
+			case <-time.After(5 * time.Second):
+				t.Fatalf("%s.%s: did not return after cancel (runs on the background context?)", tc.name, call.name)
+			}
+			mu.Lock()
+			got := errs
+			mu.Unlock()
+			if len(got) == 0 {
+				t.Errorf("%s.%s: returned without reporting a failure", tc.name, call.name)
+			}
+			for _, err := range got {
+				var terr *TransportError
+				if !errors.As(err, &terr) || !errors.Is(err, context.Canceled) {
+					t.Errorf("%s.%s: error %v, want a *TransportError wrapping context.Canceled", tc.name, call.name, err)
+				}
+			}
+		}
 	}
 }

@@ -35,20 +35,21 @@ import (
 // of a request the server already applied — but whose response was lost
 // — is deduplicated server-side instead of double-applied.
 //
-// Batch operations (PostProbes, LookupProbes) and the vote reads
-// (Votes, ValueVotes, PopularVectors) use the batched wire protocol:
-// one request per batch, and an epoch-tagged per-topic snapshot cache
-// that re-downloads a tally only when the topic actually changed.
-// DisableBatch restores the one-request-per-operation legacy protocol
-// (useful to measure what batching buys; see cmd/benchdiff's netboard
-// suite).
+// Probe operations travel over the batched wire protocol — a single
+// PostProbe/LookupProbe is a one-element batch — and the vote reads
+// (Votes, ValueVotes, PopularVectors) go through an epoch-tagged
+// per-topic snapshot cache that re-downloads a tally only when the
+// topic actually changed.
 //
-// The plain Interface methods run uncancellable (context.Background
-// semantics). BindContext returns a view of the client whose every
-// request — including retry backoff sleeps — aborts when the bound
-// context is cancelled; the probe engine binds the run context this
-// way, so a deadline cuts through in-flight HTTP calls instead of
-// waiting out the full retry schedule.
+// A Client from NewClient runs its requests uncancellable
+// (context.Background semantics). BindContext returns a copy of the
+// client carrying another context: the copy shares every piece of
+// mutable state with the original, and its every request — including
+// retry backoff sleeps — aborts when that context is cancelled. The
+// probe engine binds the run context this way, so a deadline cuts
+// through in-flight HTTP calls instead of waiting out the full retry
+// schedule. Construct clients with NewClient or NewClientWithConfig;
+// the zero Client has no shared state and is not usable.
 type Client struct {
 	// BaseURL is the server's root, e.g. "http://localhost:7070".
 	BaseURL string
@@ -78,9 +79,6 @@ type Client struct {
 	// Distinct clients should use distinct seeds (the default); a fixed
 	// seed makes a single client's backoff sequence reproducible.
 	JitterSeed uint64
-	// DisableBatch switches off request batching and the topic
-	// snapshot cache, issuing one legacy request per board operation.
-	DisableBatch bool
 	// Telemetry, when non-nil, records per-endpoint request counts
 	// ("<prefix>.requests.<path>", one per HTTP attempt), request
 	// latency histograms ("<prefix>.latency_ns.<path>") and the
@@ -106,6 +104,16 @@ type Client struct {
 	// which is what the cancellation tests assert.
 	sleep func(time.Duration)
 
+	// ctx governs every request this client issues (see BindContext).
+	ctx context.Context
+	// core is the mutable state shared by the client and every copy
+	// BindContext makes of it.
+	core *clientCore
+}
+
+// clientCore is the state behind a Client that its context-bound
+// copies share.
+type clientCore struct {
 	// jitter is the lazily seeded backoff jitter stream (see
 	// JitterSeed), guarded by jitterMu: one client may retry from many
 	// player goroutines at once.
@@ -189,20 +197,33 @@ func (e *ProtoError) Error() string {
 
 // NewClient returns a Client for the server at baseURL with the
 // zero-value Config; use NewClientWithConfig to tune retries, failure
-// handling, batching and telemetry in one place.
+// handling, telemetry and the codec in one place.
 func NewClient(baseURL string) *Client {
 	return NewClientWithConfig(baseURL, Config{})
 }
 
-// BindContext implements boardclient.ContextBinder: the returned view
-// shares all state with c (request ids, snapshot cache, degraded-mode
-// record) but runs every request under ctx — in-flight HTTP calls are
-// aborted and backoff sleeps return early when ctx is cancelled.
+// BindContext implements boardclient.ContextBinder: the returned copy
+// of c shares all its state (request ids, snapshot cache, degraded-mode
+// record, codec latch) but runs every request under ctx — in-flight
+// HTTP calls are aborted and backoff sleeps return early when ctx is
+// cancelled. A context that can never be cancelled binds to c itself
+// (or, when c is itself bound, to an uncancellable copy). The copy
+// takes c's configuration fields as they are at the call.
 func (c *Client) BindContext(ctx context.Context) boardclient.Interface {
 	if ctx == nil || ctx.Done() == nil {
-		return c
+		if c.ctx.Done() == nil {
+			return c
+		}
+		ctx = context.Background()
 	}
-	return &boundClient{c: c, ctx: ctx}
+	return c.withContext(ctx)
+}
+
+// withContext returns a copy of c that issues its requests under ctx.
+func (c *Client) withContext(ctx context.Context) *Client {
+	b := *c
+	b.ctx = ctx
+	return &b
 }
 
 // Err returns the first transport/protocol error the client swallowed
@@ -210,23 +231,23 @@ func (c *Client) BindContext(ctx context.Context) boardclient.Interface {
 // client has returned at least one degraded zero value; results
 // obtained since then must not be interpreted as board state.
 func (c *Client) Err() error {
-	c.errMu.Lock()
-	defer c.errMu.Unlock()
-	return c.firstErr
+	c.core.errMu.Lock()
+	defer c.core.errMu.Unlock()
+	return c.core.firstErr
 }
 
 // Failures returns how many calls failed terminally (each one invoked
 // OnError and returned a degraded zero value).
-func (c *Client) Failures() int64 { return c.failures.Load() }
+func (c *Client) Failures() int64 { return c.core.failures.Load() }
 
 func (c *Client) fail(err error) {
 	terr := &TransportError{Err: err}
-	c.failures.Add(1)
-	c.errMu.Lock()
-	if c.firstErr == nil {
-		c.firstErr = terr
+	c.core.failures.Add(1)
+	c.core.errMu.Lock()
+	if c.core.firstErr == nil {
+		c.core.firstErr = terr
 	}
-	c.errMu.Unlock()
+	c.core.errMu.Unlock()
 	if c.OnError != nil {
 		c.OnError(terr)
 		return
@@ -246,26 +267,29 @@ func (c *Client) httpc() *http.Client {
 // synchronizes retry stampedes — every client that failed on the same
 // server blip would sleep the same schedule and re-arrive together; the
 // seeded jitter desynchronizes the herd while keeping the linear growth
-// (and the i·RetryBackoff mean) intact. The wait selects on ctx: a
-// cancellation cuts it short, and backoff returns the cancellation
-// cause so the retry loop stops instead of issuing doomed attempts.
-func (c *Client) backoff(ctx context.Context, i int) error {
+// (and the i·RetryBackoff mean) intact. The wait selects on the
+// client's context: a cancellation cuts it short, and backoff returns
+// the cancellation cause so the retry loop stops instead of issuing
+// doomed attempts.
+func (c *Client) backoff(i int) error {
 	unit := c.RetryBackoff
 	if unit <= 0 {
 		unit = 50 * time.Millisecond
 	}
-	c.jitterMu.Lock()
-	if c.jitter == nil {
+	core := c.core
+	core.jitterMu.Lock()
+	if core.jitter == nil {
 		seed := c.JitterSeed
 		for seed == 0 {
 			seed = mrand.Uint64()
 		}
-		c.jitter = mrand.New(mrand.NewPCG(seed, 0x74656c6c6d65)) // "tellme"
+		core.jitter = mrand.New(mrand.NewPCG(seed, 0x74656c6c6d65)) // "tellme"
 	}
-	f := 0.5 + c.jitter.Float64()
-	c.jitterMu.Unlock()
+	f := 0.5 + core.jitter.Float64()
+	core.jitterMu.Unlock()
 	d := time.Duration(float64(i) * float64(unit) * f)
 	c.Telemetry.Counter(c.telemetryPrefix() + ".retries").Inc()
+	ctx := c.ctx
 	done := ctx.Done()
 	if done != nil {
 		select {
@@ -296,15 +320,16 @@ func (c *Client) backoff(ctx context.Context, i int) error {
 // sequence number. One id is generated per logical mutation and reused
 // across its retries.
 func (c *Client) requestID() string {
-	c.idOnce.Do(func() {
+	core := c.core
+	core.idOnce.Do(func() {
 		var b [8]byte
 		if _, err := rand.Read(b[:]); err == nil {
-			c.idPrefix = hex.EncodeToString(b[:])
+			core.idPrefix = hex.EncodeToString(b[:])
 		} else {
-			c.idPrefix = fmt.Sprintf("t%d", time.Now().UnixNano())
+			core.idPrefix = fmt.Sprintf("t%d", time.Now().UnixNano())
 		}
 	})
-	return c.idPrefix + "-" + strconv.FormatUint(c.idSeq.Add(1), 10)
+	return core.idPrefix + "-" + strconv.FormatUint(core.idSeq.Add(1), 10)
 }
 
 // telemetryPrefix resolves the instrument key prefix.
@@ -333,33 +358,34 @@ func (c *Client) instruments(path string) (reqs *telemetry.Counter, lat *telemet
 // idle connection taken) and the request queued or dialed.
 const connStallThreshold = time.Millisecond
 
-// traceContext attaches connection accounting to a request context:
-// "<prefix>.conns.dialed" counts fresh dials (pool misses),
+// traceContext is the client's context with connection accounting
+// attached: "<prefix>.conns.dialed" counts fresh dials (pool misses),
 // "<prefix>.conns.reused" counts pooled handoffs, and
 // "<prefix>.conns.stalled" counts requests that waited longer than
 // connStallThreshold for a connection — the pool-saturation signal a
 // load run watches to size MaxIdleConnsPerHost. No telemetry, no trace.
-func (c *Client) traceContext(ctx context.Context) context.Context {
+func (c *Client) traceContext() context.Context {
 	if c.Telemetry == nil {
-		return ctx
+		return c.ctx
 	}
-	c.connOnce.Do(func() {
+	core := c.core
+	core.connOnce.Do(func() {
 		prefix := c.telemetryPrefix()
-		c.connDialed = c.Telemetry.Counter(prefix + ".conns.dialed")
-		c.connReused = c.Telemetry.Counter(prefix + ".conns.reused")
-		c.connStalled = c.Telemetry.Counter(prefix + ".conns.stalled")
+		core.connDialed = c.Telemetry.Counter(prefix + ".conns.dialed")
+		core.connReused = c.Telemetry.Counter(prefix + ".conns.reused")
+		core.connStalled = c.Telemetry.Counter(prefix + ".conns.stalled")
 	})
 	var wait time.Time
-	return httptrace.WithClientTrace(ctx, &httptrace.ClientTrace{
+	return httptrace.WithClientTrace(c.ctx, &httptrace.ClientTrace{
 		GetConn: func(string) { wait = time.Now() },
 		GotConn: func(info httptrace.GotConnInfo) {
 			if info.Reused {
-				c.connReused.Inc()
+				core.connReused.Inc()
 			} else {
-				c.connDialed.Inc()
+				core.connDialed.Inc()
 			}
 			if !wait.IsZero() && time.Since(wait) > connStallThreshold {
-				c.connStalled.Inc()
+				core.connStalled.Inc()
 			}
 		},
 	})
@@ -369,7 +395,7 @@ func (c *Client) traceContext(ctx context.Context) context.Context {
 // one, unless a failed binary attempt has already pinned the client
 // back to JSON (see Codec).
 func (c *Client) bodyCodec() wire.Codec {
-	if c.Codec == wire.Binary.Name() && !c.binaryOff.Load() {
+	if c.Codec == wire.Binary.Name() && !c.core.binaryOff.Load() {
 		return wire.Binary
 	}
 	return wire.JSON
@@ -382,8 +408,27 @@ func (c *Client) wireInstruments(path string) wire.Instruments {
 	return wire.NewInstruments(c.Telemetry, c.telemetryPrefix(), path)
 }
 
+// encodeBody returns msg encoded with codec in a slice of its own. It
+// encodes into a pooled buffer and copies out the result: a transport
+// may still read a request body after Do returns — writing it behind
+// an early response, or replaying it through GetBody on another
+// goroutine — so a body must never share a buffer the pool hands out
+// again.
+func encodeBody(codec wire.Codec, msg wire.Message, ins wire.Instruments) ([]byte, error) {
+	bufp := wire.GetBuffer()
+	defer wire.PutBuffer(bufp)
+	start := time.Now()
+	data, err := codec.Append((*bufp)[:0], msg)
+	ins.EncodeNs.ObserveSince(start)
+	if err != nil {
+		return nil, err
+	}
+	*bufp = data[:0] // keep the grown capacity for reuse
+	return bytes.Clone(data), nil
+}
+
 // post sends a POST and expects 2xx, retrying transient failures. The
-// body is encoded with the client's codec into a pooled buffer. When a
+// body is encoded with the client's codec (see encodeBody). When a
 // server answers a binary body with a 4xx, the same logical request is
 // re-encoded as JSON and resent once without consuming a retry — the
 // fail-safe that keeps a binary-configured client working against a
@@ -393,22 +438,12 @@ func (c *Client) wireInstruments(path string) wire.Instruments {
 //
 // All attempts carry the same request id, so a retry of a post the
 // server already applied is acknowledged, not re-applied. Cancelling
-// ctx aborts the in-flight request and the backoff wait.
-func (c *Client) post(ctx context.Context, path string, body wire.Message) {
+// the client's context aborts the in-flight request and the backoff
+// wait.
+func (c *Client) post(path string, msg wire.Message) {
 	codec := c.bodyCodec()
 	ins := c.wireInstruments(path)
-	bufp := wire.GetBuffer()
-	defer wire.PutBuffer(bufp)
-	encode := func() ([]byte, error) {
-		start := time.Now()
-		data, err := codec.Append((*bufp)[:0], body)
-		ins.EncodeNs.ObserveSince(start)
-		if err == nil {
-			*bufp = data[:0] // keep the grown capacity for reuse/return
-		}
-		return data, err
-	}
-	buf, err := encode()
+	body, err := encodeBody(codec, msg, ins)
 	if err != nil {
 		c.fail(err)
 		return
@@ -419,12 +454,12 @@ func (c *Client) post(ctx context.Context, path string, body wire.Message) {
 	var lastErr error
 	for attempt := 0; attempt <= c.Retries; attempt++ {
 		if attempt > 0 {
-			if cerr := c.backoff(ctx, attempt); cerr != nil {
+			if cerr := c.backoff(attempt); cerr != nil {
 				lastErr = fmt.Errorf("POST %s: canceled during retry backoff: %w (last attempt: %v)", path, cerr, lastErr)
 				break
 			}
 		}
-		req, err := http.NewRequestWithContext(c.traceContext(ctx), http.MethodPost, c.BaseURL+path, bytes.NewReader(buf))
+		req, err := http.NewRequestWithContext(c.traceContext(), http.MethodPost, c.BaseURL+path, bytes.NewReader(body))
 		if err != nil {
 			c.fail(err)
 			return
@@ -433,7 +468,7 @@ func (c *Client) post(ctx context.Context, path string, body wire.Message) {
 		req.Header.Set(HeaderRequestID, id)
 		req.Header.Set(HeaderProto, ProtoVersion)
 		reqs.Inc()
-		ins.BytesOut.Add(int64(len(buf)))
+		ins.BytesOut.Add(int64(len(body)))
 		start := time.Now()
 		resp, err := c.httpc().Do(req)
 		lat.ObserveSince(start)
@@ -455,13 +490,13 @@ func (c *Client) post(ctx context.Context, path string, body wire.Message) {
 			if fellBack {
 				// The JSON resend of a rejected binary body succeeded:
 				// the server does not speak binary, stop offering it.
-				c.binaryOff.Store(true)
+				c.core.binaryOff.Store(true)
 			}
 			return
 		}
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
+		text, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
 		resp.Body.Close()
-		lastErr = fmt.Errorf("POST %s: %s: %s", path, resp.Status, msg)
+		lastErr = fmt.Errorf("POST %s: %s: %s", path, resp.Status, text)
 		if code/100 == 4 {
 			if codec == wire.Binary && !fellBack {
 				// The server rejected the binary body (415 from a
@@ -469,7 +504,7 @@ func (c *Client) post(ctx context.Context, path string, body wire.Message) {
 				// as JSON under the same request id, on the house.
 				fellBack = true
 				codec = wire.JSON
-				if buf, err = encode(); err != nil {
+				if body, err = encodeBody(codec, msg, ins); err != nil {
 					c.fail(err)
 					return
 				}
@@ -488,9 +523,9 @@ func (c *Client) post(ctx context.Context, path string, body wire.Message) {
 // (pre-codec) or refuse binary (JSON-pinned) simply answer JSON, which
 // always decodes — GETs need no fallback dance. It reports whether it
 // succeeded; on false the client has already failed (and, in degraded
-// mode, out is untouched). Cancelling ctx aborts the in-flight request
-// and the backoff wait.
-func (c *Client) get(ctx context.Context, path string, query url.Values, out wire.Message) bool {
+// mode, out is untouched). Cancelling the client's context aborts the
+// in-flight request and the backoff wait.
+func (c *Client) get(path string, query url.Values, out wire.Message) bool {
 	u := c.BaseURL + path
 	if len(query) > 0 {
 		u += "?" + query.Encode()
@@ -502,12 +537,12 @@ func (c *Client) get(ctx context.Context, path string, query url.Values, out wir
 	var lastErr error
 	for attempt := 0; attempt <= c.Retries; attempt++ {
 		if attempt > 0 {
-			if cerr := c.backoff(ctx, attempt); cerr != nil {
+			if cerr := c.backoff(attempt); cerr != nil {
 				lastErr = fmt.Errorf("GET %s: canceled during retry backoff: %w (last attempt: %v)", path, cerr, lastErr)
 				break
 			}
 		}
-		req, err := http.NewRequestWithContext(c.traceContext(ctx), http.MethodGet, u, nil)
+		req, err := http.NewRequestWithContext(c.traceContext(), http.MethodGet, u, nil)
 		if err != nil {
 			c.fail(err)
 			return false
@@ -569,68 +604,36 @@ func (c *Client) get(ctx context.Context, path string, query url.Values, out wir
 	return false
 }
 
-// bg is the context of the plain Interface methods: uncancellable, the
-// pre-context behavior.
-var bg = context.Background()
-
-// PostProbe implements billboard.Interface.
-func (c *Client) PostProbe(p, o int, val byte) { c.postProbe(bg, p, o, val) }
-
-func (c *Client) postProbe(ctx context.Context, p, o int, val byte) {
-	c.post(ctx, PathProbe, &probePost{Player: p, Object: o, Value: val})
-}
+// PostProbe implements billboard.Interface: a one-element PostProbes.
+func (c *Client) PostProbe(p, o int, val byte) { c.PostProbes(p, []int{o}, []byte{val}) }
 
 // PostProbes implements billboard.Interface: the whole batch travels as
-// one idempotent request (one per-probe request when DisableBatch).
-func (c *Client) PostProbes(p int, objs []int, grades []byte) { c.postProbes(bg, p, objs, grades) }
-
-func (c *Client) postProbes(ctx context.Context, p int, objs []int, grades []byte) {
+// one idempotent request. Grades must be 0 or 1; the server rejects any
+// other value with 400.
+func (c *Client) PostProbes(p int, objs []int, grades []byte) {
 	if len(objs) == 0 {
-		return
-	}
-	if c.DisableBatch {
-		for k, o := range objs {
-			c.postProbe(ctx, p, o, grades[k])
-		}
 		return
 	}
 	gw := make([]byte, len(objs))
 	for k, g := range grades {
-		if g != 0 {
-			gw[k] = '1'
-		} else {
-			gw[k] = '0'
-		}
+		gw[k] = '0' + g // '0'/'1'; any other grade lands outside the alphabet
 	}
-	c.post(ctx, PathBatchProbes, &batchProbesPost{Player: p, Objects: objs, Grades: string(gw)})
+	c.post(PathBatchProbes, &batchProbesPost{Player: p, Objects: objs, Grades: string(gw)})
 }
 
-// LookupProbe implements billboard.Interface.
-func (c *Client) LookupProbe(p, o int) (byte, bool) { return c.lookupProbe(bg, p, o) }
-
-func (c *Client) lookupProbe(ctx context.Context, p, o int) (byte, bool) {
-	var reply probeReply
-	c.get(ctx, PathProbe, url.Values{
-		"player": {strconv.Itoa(p)},
-		"object": {strconv.Itoa(o)},
-	}, &reply)
-	return reply.Value, reply.OK
+// LookupProbe implements billboard.Interface: a one-element
+// LookupProbes.
+func (c *Client) LookupProbe(p, o int) (byte, bool) {
+	var grade [1]byte
+	var known [1]bool
+	c.LookupProbes(p, []int{o}, grade[:], known[:])
+	return grade[0], known[0]
 }
 
 // LookupProbes implements billboard.Interface: one request for the
-// whole batch (one per object when DisableBatch).
+// whole batch. In degraded mode every answer is (0, false).
 func (c *Client) LookupProbes(p int, objs []int, grades []byte, known []bool) {
-	c.lookupProbes(bg, p, objs, grades, known)
-}
-
-func (c *Client) lookupProbes(ctx context.Context, p int, objs []int, grades []byte, known []bool) {
 	if len(objs) == 0 {
-		return
-	}
-	if c.DisableBatch {
-		for k, o := range objs {
-			grades[k], known[k] = c.lookupProbe(ctx, p, o)
-		}
 		return
 	}
 	var sb strings.Builder
@@ -641,24 +644,21 @@ func (c *Client) lookupProbes(ctx context.Context, p int, objs []int, grades []b
 		sb.WriteString(strconv.Itoa(o))
 	}
 	var reply batchLookupsReply
-	if !c.get(ctx, PathBatchLookups, url.Values{
+	ok := c.get(PathBatchLookups, url.Values{
 		"player":  {strconv.Itoa(p)},
 		"objects": {sb.String()},
-	}, &reply) {
-		for k := range objs {
-			grades[k], known[k] = 0, false // degraded: nothing known
-		}
-		return
-	}
-	if len(reply.Grades) != len(objs) {
+	}, &reply)
+	if ok && len(reply.Grades) != len(objs) {
 		c.fail(fmt.Errorf("batch lookup: %d grades for %d objects", len(reply.Grades), len(objs)))
-		return
+		ok = false
 	}
 	for k := range objs {
-		switch reply.Grades[k] {
-		case '1':
+		switch {
+		case !ok:
+			grades[k], known[k] = 0, false // degraded: nothing known
+		case reply.Grades[k] == '1':
 			grades[k], known[k] = 1, true
-		case '0':
+		case reply.Grades[k] == '0':
 			grades[k], known[k] = 0, true
 		default:
 			grades[k], known[k] = 0, false
@@ -667,10 +667,8 @@ func (c *Client) lookupProbes(ctx context.Context, p int, objs []int, grades []b
 }
 
 // ProbedObjects implements billboard.Interface.
-func (c *Client) ProbedObjects(p int) map[int]byte { return c.probedObjects(bg, p) }
-
-func (c *Client) probedObjects(ctx context.Context, p int) map[int]byte {
-	pairs := c.probedPairs(ctx, p)
+func (c *Client) ProbedObjects(p int) map[int]byte {
+	pairs := c.probedPairs(p)
 	out := make(map[int]byte, len(pairs))
 	for _, og := range pairs {
 		out[og.Object] = og.Grade
@@ -681,46 +679,38 @@ func (c *Client) probedObjects(ctx context.Context, p int) map[int]byte {
 // probedPairs fetches p's probe results as ordered (object, grade)
 // pairs — the server's order, ascending by object for a Board-backed
 // server. The Cluster merges these per-shard lists.
-func (c *Client) probedPairs(ctx context.Context, p int) []objGrade {
+func (c *Client) probedPairs(p int) []objGrade {
 	var reply probedObjectsReply
-	c.get(ctx, PathProbedObjects, url.Values{"player": {strconv.Itoa(p)}}, &reply)
+	c.get(PathProbedObjects, url.Values{"player": {strconv.Itoa(p)}}, &reply)
 	return reply.Objects
 }
 
 // ForEachProbe implements billboard.Interface. It fetches the player's
 // probe results once and iterates them in the server's order (ascending
 // object order for a billboard.Board-backed server).
-func (c *Client) ForEachProbe(p int, fn func(o int, grade byte)) { c.forEachProbe(bg, p, fn) }
-
-func (c *Client) forEachProbe(ctx context.Context, p int, fn func(o int, grade byte)) {
-	var reply probedObjectsReply
-	c.get(ctx, PathProbedObjects, url.Values{"player": {strconv.Itoa(p)}}, &reply)
-	for _, og := range reply.Objects {
+func (c *Client) ForEachProbe(p int, fn func(o int, grade byte)) {
+	for _, og := range c.probedPairs(p) {
 		fn(og.Object, og.Grade)
 	}
 }
 
 // ProbeCount implements billboard.Interface.
-func (c *Client) ProbeCount() int64 { return c.stats(bg).ProbeCount }
+func (c *Client) ProbeCount() int64 { return c.stats().ProbeCount }
 
 // Post implements billboard.Interface.
-func (c *Client) Post(name string, player int, v bitvec.Partial) { c.postTopic(bg, name, player, v) }
-
-func (c *Client) postTopic(ctx context.Context, name string, player int, v bitvec.Partial) {
-	c.post(ctx, PathVector, &vectorPost{Topic: name, Player: player, Bits: wire.Bits{P: v}})
+func (c *Client) Post(name string, player int, v bitvec.Partial) {
+	c.post(PathVector, &vectorPost{Topic: name, Player: player, Bits: wire.Bits{P: v}})
 }
 
 // PostVector implements billboard.Interface.
 func (c *Client) PostVector(name string, player int, v bitvec.Vector) {
-	c.postTopic(bg, name, player, bitvec.PartialOf(v))
+	c.Post(name, player, bitvec.PartialOf(v))
 }
 
 // Postings implements billboard.Interface.
-func (c *Client) Postings(name string) []billboard.Posting { return c.postings(bg, name) }
-
-func (c *Client) postings(ctx context.Context, name string) []billboard.Posting {
+func (c *Client) Postings(name string) []billboard.Posting {
 	var reply postingList
-	c.get(ctx, PathPostings, url.Values{"topic": {name}}, &reply)
+	c.get(PathPostings, url.Values{"topic": {name}}, &reply)
 	out := make([]billboard.Posting, len(reply))
 	for i, p := range reply {
 		out[i] = billboard.Posting{Player: p.Player, Vec: p.Bits.P}
@@ -733,13 +723,14 @@ func (c *Client) postings(ctx context.Context, name string) []billboard.Posting 
 // zero decode work when the server answers "unchanged". The returned
 // entry is shared and immutable, matching the billboard.Interface
 // contract for Votes/ValueVotes. Returns nil in degraded mode.
-func (c *Client) snapshot(ctx context.Context, name string) *topicCacheEntry {
-	c.cacheMu.Lock()
-	if c.cache == nil {
-		c.cache = make(map[string]*topicCacheEntry)
+func (c *Client) snapshot(name string) *topicCacheEntry {
+	core := c.core
+	core.cacheMu.Lock()
+	if core.cache == nil {
+		core.cache = make(map[string]*topicCacheEntry)
 	}
-	cached := c.cache[name]
-	c.cacheMu.Unlock()
+	cached := core.cache[name]
+	core.cacheMu.Unlock()
 
 	q := url.Values{"topic": {name}}
 	if cached != nil {
@@ -747,59 +738,43 @@ func (c *Client) snapshot(ctx context.Context, name string) *topicCacheEntry {
 		q.Set("epoch", strconv.FormatUint(cached.epoch, 10))
 	}
 	var reply topicSnapshotReply
-	if !c.get(ctx, PathTopicSnapshot, q, &reply) {
+	if !c.get(PathTopicSnapshot, q, &reply) {
 		return nil // degraded; c.fail already fired
 	}
 	if reply.Unchanged && cached != nil {
 		return cached
 	}
 	entry := &topicCacheEntry{gen: reply.Gen, epoch: reply.Epoch}
-	entry.votes = make([]billboard.Vote, len(reply.Votes))
-	for i, v := range reply.Votes {
-		entry.votes[i] = billboard.Vote{Vec: v.Bits.P, Count: v.Count, Voters: v.Voters}
-	}
-	entry.valVotes = make([]billboard.ValueVote, len(reply.ValueVotes))
-	for i, v := range reply.ValueVotes {
-		entry.valVotes[i] = billboard.ValueVote{Vals: v.Vals, Count: v.Count, Voters: v.Voters}
-	}
-	c.cacheMu.Lock()
+	entry.votes, entry.valVotes = reply.tallies()
+	core.cacheMu.Lock()
 	// Last writer wins; concurrent fetchers decoded the same stamp or a
 	// newer one, and a stale overwrite only costs one extra refetch.
-	c.cache[name] = entry
-	c.cacheMu.Unlock()
+	core.cache[name] = entry
+	core.cacheMu.Unlock()
 	return entry
+}
+
+// forget evicts a dropped topic from the snapshot cache.
+func (c *Client) forget(name string) {
+	c.core.cacheMu.Lock()
+	delete(c.core.cache, name)
+	c.core.cacheMu.Unlock()
 }
 
 // Votes implements billboard.Interface. The result is the shared,
 // immutable snapshot-cache entry (same contract as the in-memory
 // board's epoch-cached tallies).
-func (c *Client) Votes(name string) []billboard.Vote { return c.votes(bg, name) }
-
-func (c *Client) votes(ctx context.Context, name string) []billboard.Vote {
-	if c.DisableBatch {
-		var reply voteList
-		c.get(ctx, PathVotes, url.Values{"topic": {name}}, &reply)
-		out := make([]billboard.Vote, len(reply))
-		for i, v := range reply {
-			out[i] = billboard.Vote{Vec: v.Bits.P, Count: v.Count, Voters: v.Voters}
-		}
-		return out
+func (c *Client) Votes(name string) []billboard.Vote {
+	if entry := c.snapshot(name); entry != nil {
+		return entry.votes
 	}
-	entry := c.snapshot(ctx, name)
-	if entry == nil {
-		return nil
-	}
-	return entry.votes
+	return nil
 }
 
 // PopularVectors implements billboard.Interface.
 func (c *Client) PopularVectors(name string, minVotes int) []bitvec.Partial {
-	return c.popularVectors(bg, name, minVotes)
-}
-
-func (c *Client) popularVectors(ctx context.Context, name string, minVotes int) []bitvec.Partial {
 	var out []bitvec.Partial
-	for _, v := range c.votes(ctx, name) {
+	for _, v := range c.Votes(name) {
 		if v.Count >= minVotes {
 			out = append(out, v.Vec)
 		}
@@ -809,21 +784,13 @@ func (c *Client) popularVectors(ctx context.Context, name string, minVotes int) 
 
 // PostValues implements billboard.Interface.
 func (c *Client) PostValues(name string, player int, vals []uint32) {
-	c.postValues(bg, name, player, vals)
-}
-
-func (c *Client) postValues(ctx context.Context, name string, player int, vals []uint32) {
-	c.post(ctx, PathValues, &valuesPost{Topic: name, Player: player, Vals: vals})
+	c.post(PathValues, &valuesPost{Topic: name, Player: player, Vals: vals})
 }
 
 // ValuePostings implements billboard.Interface.
 func (c *Client) ValuePostings(name string) []billboard.ValuePosting {
-	return c.valuePostings(bg, name)
-}
-
-func (c *Client) valuePostings(ctx context.Context, name string) []billboard.ValuePosting {
 	var reply valuePostingList
-	c.get(ctx, PathValuePostings, url.Values{"topic": {name}}, &reply)
+	c.get(PathValuePostings, url.Values{"topic": {name}}, &reply)
 	out := make([]billboard.ValuePosting, len(reply))
 	for i, p := range reply {
 		out[i] = billboard.ValuePosting{Player: p.Player, Vals: p.Vals}
@@ -833,44 +800,28 @@ func (c *Client) valuePostings(ctx context.Context, name string) []billboard.Val
 
 // ValueVotes implements billboard.Interface. Like Votes, the result is
 // the shared immutable snapshot-cache entry.
-func (c *Client) ValueVotes(name string) []billboard.ValueVote { return c.valueVotes(bg, name) }
-
-func (c *Client) valueVotes(ctx context.Context, name string) []billboard.ValueVote {
-	if c.DisableBatch {
-		var reply valueVoteList
-		c.get(ctx, PathValueVotes, url.Values{"topic": {name}}, &reply)
-		out := make([]billboard.ValueVote, len(reply))
-		for i, v := range reply {
-			out[i] = billboard.ValueVote{Vals: v.Vals, Count: v.Count, Voters: v.Voters}
-		}
-		return out
+func (c *Client) ValueVotes(name string) []billboard.ValueVote {
+	if entry := c.snapshot(name); entry != nil {
+		return entry.valVotes
 	}
-	entry := c.snapshot(ctx, name)
-	if entry == nil {
-		return nil
-	}
-	return entry.valVotes
+	return nil
 }
 
 // DropTopic implements billboard.Interface.
-func (c *Client) DropTopic(name string) { c.dropTopic(bg, name) }
-
-func (c *Client) dropTopic(ctx context.Context, name string) {
-	c.post(ctx, PathDropTopic, &dropPost{Topic: name})
-	c.cacheMu.Lock()
-	delete(c.cache, name)
-	c.cacheMu.Unlock()
+func (c *Client) DropTopic(name string) {
+	c.post(PathDropTopic, &dropPost{Topic: name})
+	c.forget(name)
 }
 
 // TopicCount implements billboard.Interface.
-func (c *Client) TopicCount() int { return c.stats(bg).TopicCount }
+func (c *Client) TopicCount() int { return c.stats().TopicCount }
 
 // VectorPostCount implements billboard.Interface.
-func (c *Client) VectorPostCount() int64 { return c.stats(bg).VectorPostCount }
+func (c *Client) VectorPostCount() int64 { return c.stats().VectorPostCount }
 
-func (c *Client) stats(ctx context.Context) statsReply {
+func (c *Client) stats() statsReply {
 	var reply statsReply
-	c.get(ctx, PathStats, nil, &reply)
+	c.get(PathStats, nil, &reply)
 	return reply
 }
 
@@ -880,41 +831,28 @@ func (c *Client) stats(ctx context.Context) statsReply {
 // Cluster drain replays from, and what a caller layering its own cache
 // uses). Votes/ValueVotes go through the cache instead.
 func (c *Client) TopicSnapshot(name string, sinceGen, sinceEpoch uint64) (gen, epoch uint64, unchanged bool, votes []billboard.Vote, valVotes []billboard.ValueVote) {
-	return c.topicSnapshot(bg, name, sinceGen, sinceEpoch)
-}
-
-func (c *Client) topicSnapshot(ctx context.Context, name string, sinceGen, sinceEpoch uint64) (gen, epoch uint64, unchanged bool, votes []billboard.Vote, valVotes []billboard.ValueVote) {
 	q := url.Values{
 		"topic": {name},
 		"gen":   {strconv.FormatUint(sinceGen, 10)},
 		"epoch": {strconv.FormatUint(sinceEpoch, 10)},
 	}
 	var reply topicSnapshotReply
-	if !c.get(ctx, PathTopicSnapshot, q, &reply) {
+	if !c.get(PathTopicSnapshot, q, &reply) {
 		return 0, 0, false, nil, nil // degraded; c.fail already fired
 	}
 	if reply.Unchanged {
 		return reply.Gen, reply.Epoch, true, nil, nil
 	}
-	votes = make([]billboard.Vote, len(reply.Votes))
-	for i, v := range reply.Votes {
-		votes[i] = billboard.Vote{Vec: v.Bits.P, Count: v.Count, Voters: v.Voters}
-	}
-	valVotes = make([]billboard.ValueVote, len(reply.ValueVotes))
-	for i, v := range reply.ValueVotes {
-		valVotes[i] = billboard.ValueVote{Vals: v.Vals, Count: v.Count, Voters: v.Voters}
-	}
+	votes, valVotes = reply.tallies()
 	return reply.Gen, reply.Epoch, false, votes, valVotes
 }
 
 // Topics returns the names of all live topics on the server, sorted.
 // It is the drain-path enumeration (mirrors billboard.Board.Topics) and
 // is not part of boardclient.Interface.
-func (c *Client) Topics() []string { return c.topics(bg) }
-
-func (c *Client) topics(ctx context.Context) []string {
+func (c *Client) Topics() []string {
 	var reply topicsReply
-	c.get(ctx, PathTopics, nil, &reply)
+	c.get(PathTopics, nil, &reply)
 	return reply.Topics
 }
 
@@ -922,93 +860,26 @@ func (c *Client) topics(ctx context.Context) []string {
 // (mirrors billboard.Board.ClearProbes; see there for the quiescence
 // requirement). It is the second half of the cluster probe-migration
 // step and is not part of boardclient.Interface.
-func (c *Client) ClearProbes(p int, objs []int) { c.clearProbes(bg, p, objs) }
-
-func (c *Client) clearProbes(ctx context.Context, p int, objs []int) {
+func (c *Client) ClearProbes(p int, objs []int) {
 	if len(objs) == 0 {
 		return
 	}
-	c.post(ctx, PathClearProbes, &clearProbesPost{Player: p, Objects: objs})
+	c.post(PathClearProbes, &clearProbesPost{Player: p, Objects: objs})
 }
 
 // Quiesce blocks until every mutation the server has started applying
 // has finished — the drain-path barrier before snapshotting a donor.
 // Not part of boardclient.Interface.
-func (c *Client) Quiesce() { c.quiesce(bg) }
-
-func (c *Client) quiesce(ctx context.Context) {
+func (c *Client) Quiesce() {
 	var reply quiesceReply
-	c.get(ctx, PathQuiesce, nil, &reply)
+	c.get(PathQuiesce, nil, &reply)
 }
 
 // dropTopicIf asks the server to drop the topic only if its posting
 // counts still match (nVec vector postings, nVal value postings). The
 // outcome is not reported — a deduplicated retry could not reproduce it
 // — so callers verify by re-reading the topic.
-func (c *Client) dropTopicIf(ctx context.Context, name string, nVec, nVal int) {
-	c.post(ctx, PathDropTopicIf, &dropIfPost{Topic: name, Vectors: nVec, Values: nVal})
-	c.cacheMu.Lock()
-	delete(c.cache, name)
-	c.cacheMu.Unlock()
+func (c *Client) dropTopicIf(name string, nVec, nVal int) {
+	c.post(PathDropTopicIf, &dropIfPost{Topic: name, Vectors: nVec, Values: nVal})
+	c.forget(name)
 }
-
-// boundClient is the context-bound view of a Client: every operation
-// forwards to the shared client with the bound context. It cannot embed
-// *Client — the embedded methods would run with the background context —
-// so it forwards all 18 Interface methods explicitly.
-type boundClient struct {
-	c   *Client
-	ctx context.Context
-}
-
-var _ boardclient.Interface = (*boundClient)(nil)
-var _ boardclient.ContextBinder = (*boundClient)(nil)
-
-// BindContext rebinds to a different context, still sharing the client.
-func (b *boundClient) BindContext(ctx context.Context) boardclient.Interface {
-	return b.c.BindContext(ctx)
-}
-
-func (b *boundClient) PostProbe(p, o int, val byte) { b.c.postProbe(b.ctx, p, o, val) }
-func (b *boundClient) PostProbes(p int, objs []int, grades []byte) {
-	b.c.postProbes(b.ctx, p, objs, grades)
-}
-func (b *boundClient) LookupProbe(p, o int) (byte, bool) { return b.c.lookupProbe(b.ctx, p, o) }
-func (b *boundClient) LookupProbes(p int, objs []int, grades []byte, known []bool) {
-	b.c.lookupProbes(b.ctx, p, objs, grades, known)
-}
-func (b *boundClient) ProbedObjects(p int) map[int]byte { return b.c.probedObjects(b.ctx, p) }
-func (b *boundClient) ForEachProbe(p int, fn func(o int, grade byte)) {
-	b.c.forEachProbe(b.ctx, p, fn)
-}
-func (b *boundClient) ProbeCount() int64 { return b.c.stats(b.ctx).ProbeCount }
-func (b *boundClient) Post(name string, player int, v bitvec.Partial) {
-	b.c.postTopic(b.ctx, name, player, v)
-}
-func (b *boundClient) PostVector(name string, player int, v bitvec.Vector) {
-	b.c.postTopic(b.ctx, name, player, bitvec.PartialOf(v))
-}
-func (b *boundClient) Postings(name string) []billboard.Posting { return b.c.postings(b.ctx, name) }
-func (b *boundClient) Votes(name string) []billboard.Vote       { return b.c.votes(b.ctx, name) }
-func (b *boundClient) PopularVectors(name string, minVotes int) []bitvec.Partial {
-	return b.c.popularVectors(b.ctx, name, minVotes)
-}
-func (b *boundClient) PostValues(name string, player int, vals []uint32) {
-	b.c.postValues(b.ctx, name, player, vals)
-}
-func (b *boundClient) ValuePostings(name string) []billboard.ValuePosting {
-	return b.c.valuePostings(b.ctx, name)
-}
-func (b *boundClient) ValueVotes(name string) []billboard.ValueVote {
-	return b.c.valueVotes(b.ctx, name)
-}
-func (b *boundClient) DropTopic(name string) { b.c.dropTopic(b.ctx, name) }
-func (b *boundClient) TopicCount() int       { return b.c.stats(b.ctx).TopicCount }
-func (b *boundClient) VectorPostCount() int64 {
-	return b.c.stats(b.ctx).VectorPostCount
-}
-func (b *boundClient) TopicSnapshot(name string, sinceGen, sinceEpoch uint64) (gen, epoch uint64, unchanged bool, votes []billboard.Vote, valVotes []billboard.ValueVote) {
-	return b.c.topicSnapshot(b.ctx, name, sinceGen, sinceEpoch)
-}
-func (b *boundClient) Err() error      { return b.c.Err() }
-func (b *boundClient) Failures() int64 { return b.c.Failures() }

@@ -55,7 +55,22 @@ type ClusterConfig struct {
 //
 // AddShard/RemoveShard reshard a quiescent cluster in place; see their
 // docs for the (static-topology) contract.
+//
+// Like a Client, a Cluster from NewCluster runs uncancellable, and
+// BindContext returns a copy sharing all its state whose every shard
+// request runs under another context.
 type Cluster struct {
+	// ctx governs every shard request this cluster issues (see
+	// BindContext).
+	ctx context.Context
+	// core is the state shared by the cluster and every copy
+	// BindContext makes of it.
+	core *clusterCore
+}
+
+// clusterCore is the state behind a Cluster that its context-bound
+// copies share.
+type clusterCore struct {
 	cfg ClusterConfig
 
 	// topoMu guards the (ring, clients) pair, swapped atomically by a
@@ -85,27 +100,27 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		}
 		seen[u] = true
 	}
-	cl := &Cluster{cfg: cfg}
-	if cl.cfg.Client.HTTPClient == nil {
+	core := &clusterCore{cfg: cfg}
+	if core.cfg.Client.HTTPClient == nil {
 		// Resolve the pooled client ONCE and share it across shards (and
 		// any shards added later): per-host pool limits apply per shard
 		// server either way, but a shared transport keeps the process at
 		// one coherent connection pool instead of len(Shards) of them.
-		cl.cfg.Client.HTTPClient = cl.cfg.Client.PooledHTTPClient()
+		core.cfg.Client.HTTPClient = core.cfg.Client.PooledHTTPClient()
 	}
-	cl.ring = newRing(cfg.Shards, cfg.VirtualNodes)
-	cl.clients = make([]*Client, len(cfg.Shards))
+	core.ring = newRing(cfg.Shards, cfg.VirtualNodes)
+	core.clients = make([]*Client, len(cfg.Shards))
 	for i, u := range cfg.Shards {
-		cl.clients[i] = cl.shardClient(u, i)
+		core.clients[i] = core.shardClient(u, i)
 	}
-	return cl, nil
+	return &Cluster{ctx: context.Background(), core: core}, nil
 }
 
 // shardClient builds shard i's client: the shared Config with the
 // telemetry prefix specialized to the shard and the jitter seed
 // decorrelated from the other shards'.
-func (cl *Cluster) shardClient(baseURL string, i int) *Client {
-	shardCfg := cl.cfg.Client
+func (core *clusterCore) shardClient(baseURL string, i int) *Client {
+	shardCfg := core.cfg.Client
 	base := shardCfg.TelemetryPrefix
 	if base == "" {
 		base = "netboard.cluster"
@@ -147,9 +162,9 @@ func decorrelate(seed, i uint64) uint64 {
 
 // topo snapshots the current (ring, clients) pair.
 func (cl *Cluster) topo() (*Ring, []*Client) {
-	cl.topoMu.RLock()
-	defer cl.topoMu.RUnlock()
-	return cl.ring, cl.clients
+	cl.core.topoMu.RLock()
+	defer cl.core.topoMu.RUnlock()
+	return cl.core.ring, cl.core.clients
 }
 
 // Shards returns the current shard base URLs, in shard-index order.
@@ -163,10 +178,11 @@ func (cl *Cluster) Shards() []string {
 // player's probe batch splits across shards.
 func objKey(o int) string { return "o/" + strconv.Itoa(o) }
 
-// topicClient resolves the shard owning topic name.
-func (cl *Cluster) topicClient(name string) *Client {
+// topicClient resolves the shard owning topic name, bound to the
+// cluster's context.
+func (cl *Cluster) topicClient(name string) Client {
 	ring, clients := cl.topo()
-	return clients[ring.Owner(name)]
+	return cl.bind(clients[ring.Owner(name)])
 }
 
 // scatter runs fn(k) for k in 0..n-1 concurrently and waits for all of
@@ -199,20 +215,20 @@ func scatter(n int, fn func(k int)) {
 
 // ── Probe operations (routed by object) ──────────────────────────────
 
-// PostProbe implements billboard.Interface.
-func (cl *Cluster) PostProbe(p, o int, val byte) { cl.postProbe(bg, p, o, val) }
-
-func (cl *Cluster) postProbe(ctx context.Context, p, o int, val byte) {
+// PostProbe implements billboard.Interface: one request to the shard
+// owning o.
+func (cl *Cluster) PostProbe(p, o int, val byte) {
 	ring, clients := cl.topo()
-	clients[ring.Owner(objKey(o))].postProbe(ctx, p, o, val)
+	sc := cl.bind(clients[ring.Owner(objKey(o))])
+	sc.PostProbe(p, o, val)
 }
 
-// LookupProbe implements billboard.Interface.
-func (cl *Cluster) LookupProbe(p, o int) (byte, bool) { return cl.lookupProbe(bg, p, o) }
-
-func (cl *Cluster) lookupProbe(ctx context.Context, p, o int) (byte, bool) {
+// LookupProbe implements billboard.Interface: one request to the shard
+// owning o.
+func (cl *Cluster) LookupProbe(p, o int) (byte, bool) {
 	ring, clients := cl.topo()
-	return clients[ring.Owner(objKey(o))].lookupProbe(ctx, p, o)
+	sc := cl.bind(clients[ring.Owner(objKey(o))])
+	return sc.LookupProbe(p, o)
 }
 
 // shardSplit partitions a batch's positions by owning shard:
@@ -241,9 +257,7 @@ func shardList[T any](byShard map[int]T) []int {
 // PostProbes implements billboard.Interface: the batch is split by
 // owning shard and the per-shard sub-batches are posted concurrently,
 // each as one idempotent request.
-func (cl *Cluster) PostProbes(p int, objs []int, grades []byte) { cl.postProbes(bg, p, objs, grades) }
-
-func (cl *Cluster) postProbes(ctx context.Context, p int, objs []int, grades []byte) {
+func (cl *Cluster) PostProbes(p int, objs []int, grades []byte) {
 	if len(objs) == 0 {
 		return
 	}
@@ -258,7 +272,8 @@ func (cl *Cluster) postProbes(ctx context.Context, p int, objs []int, grades []b
 			subObjs[j] = objs[i]
 			subGrades[j] = grades[i]
 		}
-		clients[shards[k]].postProbes(ctx, p, subObjs, subGrades)
+		sc := cl.bind(clients[shards[k]])
+		sc.PostProbes(p, subObjs, subGrades)
 	})
 }
 
@@ -266,10 +281,6 @@ func (cl *Cluster) postProbes(ctx context.Context, p int, objs []int, grades []b
 // up concurrently, and each answer written back at its original batch
 // index — the merged result is independent of shard completion order.
 func (cl *Cluster) LookupProbes(p int, objs []int, grades []byte, known []bool) {
-	cl.lookupProbes(bg, p, objs, grades, known)
-}
-
-func (cl *Cluster) lookupProbes(ctx context.Context, p int, objs []int, grades []byte, known []bool) {
 	if len(objs) == 0 {
 		return
 	}
@@ -284,7 +295,8 @@ func (cl *Cluster) lookupProbes(ctx context.Context, p int, objs []int, grades [
 		}
 		subGrades := make([]byte, len(idx))
 		subKnown := make([]bool, len(idx))
-		clients[shards[k]].lookupProbes(ctx, p, subObjs, subGrades, subKnown)
+		sc := cl.bind(clients[shards[k]])
+		sc.LookupProbes(p, subObjs, subGrades, subKnown)
 		for j, i := range idx {
 			grades[i], known[i] = subGrades[j], subKnown[j]
 		}
@@ -293,14 +305,13 @@ func (cl *Cluster) lookupProbes(ctx context.Context, p int, objs []int, grades [
 
 // ProbedObjects implements billboard.Interface. Objects are
 // partitioned across shards, so the per-shard maps are disjoint.
-func (cl *Cluster) ProbedObjects(p int) map[int]byte { return cl.probedObjects(bg, p) }
-
-func (cl *Cluster) probedObjects(ctx context.Context, p int) map[int]byte {
+func (cl *Cluster) ProbedObjects(p int) map[int]byte {
 	out := make(map[int]byte)
 	var mu sync.Mutex
 	_, clients := cl.topo()
 	scatter(len(clients), func(k int) {
-		m := clients[k].probedObjects(ctx, p)
+		sc := cl.bind(clients[k])
+		m := sc.ProbedObjects(p)
 		mu.Lock()
 		for o, g := range m {
 			out[o] = g
@@ -313,13 +324,12 @@ func (cl *Cluster) probedObjects(ctx context.Context, p int) map[int]byte {
 // ForEachProbe implements billboard.Interface: the per-shard ascending
 // (object, grade) streams are fetched concurrently and merged into one
 // ascending iteration, matching the in-memory board's order exactly.
-func (cl *Cluster) ForEachProbe(p int, fn func(o int, grade byte)) { cl.forEachProbe(bg, p, fn) }
-
-func (cl *Cluster) forEachProbe(ctx context.Context, p int, fn func(o int, grade byte)) {
+func (cl *Cluster) ForEachProbe(p int, fn func(o int, grade byte)) {
 	_, clients := cl.topo()
 	perShard := make([][]objGrade, len(clients))
 	scatter(len(clients), func(k int) {
-		perShard[k] = clients[k].probedPairs(ctx, p)
+		sc := cl.bind(clients[k])
+		perShard[k] = sc.probedPairs(p)
 	})
 	var all []objGrade
 	for _, pairs := range perShard {
@@ -334,7 +344,9 @@ func (cl *Cluster) forEachProbe(ctx context.Context, p int, fn func(o int, grade
 }
 
 // ProbeCount implements billboard.Interface: the sum over shards.
-func (cl *Cluster) ProbeCount() int64 { return cl.sumStats(bg, func(s statsReply) int64 { return s.ProbeCount }) }
+func (cl *Cluster) ProbeCount() int64 {
+	return cl.sumStats(func(s statsReply) int64 { return s.ProbeCount })
+}
 
 // ClearProbes removes player p's probe results for objs, each object
 // routed to its owner shard (mirrors billboard.Board.ClearProbes and
@@ -354,7 +366,8 @@ func (cl *Cluster) ClearProbes(p int, objs []int) {
 		for j, i := range idx {
 			sub[j] = objs[i]
 		}
-		clients[shards[k]].clearProbes(bg, p, sub)
+		sc := cl.bind(clients[shards[k]])
+		sc.ClearProbes(p, sub)
 	})
 }
 
@@ -362,99 +375,81 @@ func (cl *Cluster) ClearProbes(p int, objs []int) {
 
 // Post implements billboard.Interface.
 func (cl *Cluster) Post(name string, player int, v bitvec.Partial) {
-	cl.postTopic(bg, name, player, v)
-}
-
-func (cl *Cluster) postTopic(ctx context.Context, name string, player int, v bitvec.Partial) {
-	cl.topicClient(name).postTopic(ctx, name, player, v)
+	sc := cl.topicClient(name)
+	sc.Post(name, player, v)
 }
 
 // PostVector implements billboard.Interface.
 func (cl *Cluster) PostVector(name string, player int, v bitvec.Vector) {
-	cl.postTopic(bg, name, player, bitvec.PartialOf(v))
+	cl.Post(name, player, bitvec.PartialOf(v))
 }
 
 // Postings implements billboard.Interface.
-func (cl *Cluster) Postings(name string) []billboard.Posting { return cl.postings(bg, name) }
-
-func (cl *Cluster) postings(ctx context.Context, name string) []billboard.Posting {
-	return cl.topicClient(name).postings(ctx, name)
+func (cl *Cluster) Postings(name string) []billboard.Posting {
+	sc := cl.topicClient(name)
+	return sc.Postings(name)
 }
 
 // Votes implements billboard.Interface.
-func (cl *Cluster) Votes(name string) []billboard.Vote { return cl.votes(bg, name) }
-
-func (cl *Cluster) votes(ctx context.Context, name string) []billboard.Vote {
-	return cl.topicClient(name).votes(ctx, name)
+func (cl *Cluster) Votes(name string) []billboard.Vote {
+	sc := cl.topicClient(name)
+	return sc.Votes(name)
 }
 
 // PopularVectors implements billboard.Interface.
 func (cl *Cluster) PopularVectors(name string, minVotes int) []bitvec.Partial {
-	return cl.popularVectors(bg, name, minVotes)
-}
-
-func (cl *Cluster) popularVectors(ctx context.Context, name string, minVotes int) []bitvec.Partial {
-	return cl.topicClient(name).popularVectors(ctx, name, minVotes)
+	sc := cl.topicClient(name)
+	return sc.PopularVectors(name, minVotes)
 }
 
 // PostValues implements billboard.Interface.
 func (cl *Cluster) PostValues(name string, player int, vals []uint32) {
-	cl.postValues(bg, name, player, vals)
-}
-
-func (cl *Cluster) postValues(ctx context.Context, name string, player int, vals []uint32) {
-	cl.topicClient(name).postValues(ctx, name, player, vals)
+	sc := cl.topicClient(name)
+	sc.PostValues(name, player, vals)
 }
 
 // ValuePostings implements billboard.Interface.
 func (cl *Cluster) ValuePostings(name string) []billboard.ValuePosting {
-	return cl.valuePostings(bg, name)
-}
-
-func (cl *Cluster) valuePostings(ctx context.Context, name string) []billboard.ValuePosting {
-	return cl.topicClient(name).valuePostings(ctx, name)
+	sc := cl.topicClient(name)
+	return sc.ValuePostings(name)
 }
 
 // ValueVotes implements billboard.Interface.
-func (cl *Cluster) ValueVotes(name string) []billboard.ValueVote { return cl.valueVotes(bg, name) }
-
-func (cl *Cluster) valueVotes(ctx context.Context, name string) []billboard.ValueVote {
-	return cl.topicClient(name).valueVotes(ctx, name)
+func (cl *Cluster) ValueVotes(name string) []billboard.ValueVote {
+	sc := cl.topicClient(name)
+	return sc.ValueVotes(name)
 }
 
 // DropTopic implements billboard.Interface.
-func (cl *Cluster) DropTopic(name string) { cl.dropTopic(bg, name) }
-
-func (cl *Cluster) dropTopic(ctx context.Context, name string) {
-	cl.topicClient(name).dropTopic(ctx, name)
+func (cl *Cluster) DropTopic(name string) {
+	sc := cl.topicClient(name)
+	sc.DropTopic(name)
 }
 
 // TopicSnapshot implements boardclient.Interface.
 func (cl *Cluster) TopicSnapshot(name string, sinceGen, sinceEpoch uint64) (gen, epoch uint64, unchanged bool, votes []billboard.Vote, valVotes []billboard.ValueVote) {
-	return cl.topicSnapshot(bg, name, sinceGen, sinceEpoch)
-}
-
-func (cl *Cluster) topicSnapshot(ctx context.Context, name string, sinceGen, sinceEpoch uint64) (gen, epoch uint64, unchanged bool, votes []billboard.Vote, valVotes []billboard.ValueVote) {
-	return cl.topicClient(name).topicSnapshot(ctx, name, sinceGen, sinceEpoch)
+	sc := cl.topicClient(name)
+	return sc.TopicSnapshot(name, sinceGen, sinceEpoch)
 }
 
 // TopicCount implements billboard.Interface: the sum over shards
 // (topics are partitioned, so no topic is counted twice).
 func (cl *Cluster) TopicCount() int {
-	return int(cl.sumStats(bg, func(s statsReply) int64 { return int64(s.TopicCount) }))
+	return int(cl.sumStats(func(s statsReply) int64 { return int64(s.TopicCount) }))
 }
 
 // VectorPostCount implements billboard.Interface: the sum over shards.
 func (cl *Cluster) VectorPostCount() int64 {
-	return cl.sumStats(bg, func(s statsReply) int64 { return s.VectorPostCount })
+	return cl.sumStats(func(s statsReply) int64 { return s.VectorPostCount })
 }
 
 // sumStats fetches all shards' stats concurrently and sums field.
-func (cl *Cluster) sumStats(ctx context.Context, field func(statsReply) int64) int64 {
+func (cl *Cluster) sumStats(field func(statsReply) int64) int64 {
 	_, clients := cl.topo()
 	per := make([]int64, len(clients))
 	scatter(len(clients), func(k int) {
-		per[k] = field(clients[k].stats(ctx))
+		sc := cl.bind(clients[k])
+		per[k] = field(sc.stats())
 	})
 	var total int64
 	for _, v := range per {
@@ -470,7 +465,8 @@ func (cl *Cluster) sumStats(ctx context.Context, field func(statsReply) int64) i
 func (cl *Cluster) Quiesce() {
 	_, clients := cl.topo()
 	scatter(len(clients), func(k int) {
-		clients[k].Quiesce()
+		sc := cl.bind(clients[k])
+		sc.Quiesce()
 	})
 }
 
@@ -502,79 +498,29 @@ func (cl *Cluster) Failures() int64 {
 
 // ── Context binding ──────────────────────────────────────────────────
 
-// BindContext implements boardclient.ContextBinder: the returned view
-// shares all state with cl but every shard request runs under ctx.
+// BindContext implements boardclient.ContextBinder: the returned copy
+// of cl shares its topology and shard clients but runs every shard
+// request under ctx. A context that can never be cancelled binds to cl
+// itself (or, when cl is itself bound, to an uncancellable copy).
 func (cl *Cluster) BindContext(ctx context.Context) boardclient.Interface {
 	if ctx == nil || ctx.Done() == nil {
-		return cl
+		if cl.ctx.Done() == nil {
+			return cl
+		}
+		ctx = context.Background()
 	}
-	return &boundCluster{cl: cl, ctx: ctx}
+	b := *cl
+	b.ctx = ctx
+	return &b
 }
 
-// boundCluster is the context-bound view of a Cluster, mirroring
-// boundClient: it forwards every operation with the bound context.
-type boundCluster struct {
-	cl  *Cluster
-	ctx context.Context
+// bind returns shard client sc carrying the cluster's context. The copy
+// is a value so a call through it stays on the caller's stack.
+func (cl *Cluster) bind(sc *Client) Client {
+	b := *sc
+	b.ctx = cl.ctx
+	return b
 }
-
-var _ boardclient.Interface = (*boundCluster)(nil)
-var _ boardclient.ContextBinder = (*boundCluster)(nil)
-
-// BindContext rebinds to a different context, still sharing the cluster.
-func (b *boundCluster) BindContext(ctx context.Context) boardclient.Interface {
-	return b.cl.BindContext(ctx)
-}
-
-func (b *boundCluster) PostProbe(p, o int, val byte) { b.cl.postProbe(b.ctx, p, o, val) }
-func (b *boundCluster) PostProbes(p int, objs []int, grades []byte) {
-	b.cl.postProbes(b.ctx, p, objs, grades)
-}
-func (b *boundCluster) LookupProbe(p, o int) (byte, bool) { return b.cl.lookupProbe(b.ctx, p, o) }
-func (b *boundCluster) LookupProbes(p int, objs []int, grades []byte, known []bool) {
-	b.cl.lookupProbes(b.ctx, p, objs, grades, known)
-}
-func (b *boundCluster) ProbedObjects(p int) map[int]byte { return b.cl.probedObjects(b.ctx, p) }
-func (b *boundCluster) ForEachProbe(p int, fn func(o int, grade byte)) {
-	b.cl.forEachProbe(b.ctx, p, fn)
-}
-func (b *boundCluster) ProbeCount() int64 {
-	return b.cl.sumStats(b.ctx, func(s statsReply) int64 { return s.ProbeCount })
-}
-func (b *boundCluster) Post(name string, player int, v bitvec.Partial) {
-	b.cl.postTopic(b.ctx, name, player, v)
-}
-func (b *boundCluster) PostVector(name string, player int, v bitvec.Vector) {
-	b.cl.postTopic(b.ctx, name, player, bitvec.PartialOf(v))
-}
-func (b *boundCluster) Postings(name string) []billboard.Posting {
-	return b.cl.postings(b.ctx, name)
-}
-func (b *boundCluster) Votes(name string) []billboard.Vote { return b.cl.votes(b.ctx, name) }
-func (b *boundCluster) PopularVectors(name string, minVotes int) []bitvec.Partial {
-	return b.cl.popularVectors(b.ctx, name, minVotes)
-}
-func (b *boundCluster) PostValues(name string, player int, vals []uint32) {
-	b.cl.postValues(b.ctx, name, player, vals)
-}
-func (b *boundCluster) ValuePostings(name string) []billboard.ValuePosting {
-	return b.cl.valuePostings(b.ctx, name)
-}
-func (b *boundCluster) ValueVotes(name string) []billboard.ValueVote {
-	return b.cl.valueVotes(b.ctx, name)
-}
-func (b *boundCluster) DropTopic(name string) { b.cl.dropTopic(b.ctx, name) }
-func (b *boundCluster) TopicCount() int {
-	return int(b.cl.sumStats(b.ctx, func(s statsReply) int64 { return int64(s.TopicCount) }))
-}
-func (b *boundCluster) VectorPostCount() int64 {
-	return b.cl.sumStats(b.ctx, func(s statsReply) int64 { return s.VectorPostCount })
-}
-func (b *boundCluster) TopicSnapshot(name string, sinceGen, sinceEpoch uint64) (gen, epoch uint64, unchanged bool, votes []billboard.Vote, valVotes []billboard.ValueVote) {
-	return b.cl.topicSnapshot(b.ctx, name, sinceGen, sinceEpoch)
-}
-func (b *boundCluster) Err() error      { return b.cl.Err() }
-func (b *boundCluster) Failures() int64 { return b.cl.Failures() }
 
 // ── Static-topology resharding ───────────────────────────────────────
 
@@ -595,9 +541,10 @@ func (b *boundCluster) Failures() int64 { return b.cl.Failures() }
 // Transport failures abort the drain and are returned as errors (the
 // per-shard OnError is not consulted).
 func (cl *Cluster) AddShard(ctx context.Context, baseURL string) error {
-	cl.topoMu.RLock()
-	oldRing, oldClients := cl.ring, cl.clients
-	cl.topoMu.RUnlock()
+	core := cl.core
+	core.topoMu.RLock()
+	oldRing, oldClients := core.ring, core.clients
+	core.topoMu.RUnlock()
 	for _, name := range oldRing.names {
 		if name == baseURL {
 			return fmt.Errorf("netboard: shard %q already in cluster", baseURL)
@@ -607,17 +554,18 @@ func (cl *Cluster) AddShard(ctx context.Context, baseURL string) error {
 		return fmt.Errorf("netboard: empty shard URL")
 	}
 	newNames := append(append([]string(nil), oldRing.names...), baseURL)
-	newRing := newRing(newNames, cl.cfg.VirtualNodes)
-	newClients := append(append([]*Client(nil), oldClients...), cl.shardClient(baseURL, len(oldClients)))
+	newRing := newRing(newNames, core.cfg.VirtualNodes)
+	newClients := append(append([]*Client(nil), oldClients...), core.shardClient(baseURL, len(oldClients)))
 
 	// Existing shard indices are unchanged by an append, so a key moved
 	// iff its new owner differs from its old one — and then the new
 	// owner is the added shard.
+	donors, dests := bindAll(ctx, oldClients), bindAll(ctx, newClients)
 	err := captureTransport(func() {
-		converge(ctx, oldClients, func() int {
+		converge(donors, func() int {
 			moved := 0
-			for donorIdx, donor := range oldClients {
-				moved += cl.drainMoved(ctx, donor, donorIdx, oldRing, newRing, newClients)
+			for donorIdx, donor := range donors {
+				moved += drainMoved(donor, donorIdx, oldRing, newRing, dests)
 			}
 			return moved
 		})
@@ -625,9 +573,9 @@ func (cl *Cluster) AddShard(ctx context.Context, baseURL string) error {
 	if err != nil {
 		return fmt.Errorf("netboard: add shard %s: %w", baseURL, err)
 	}
-	cl.topoMu.Lock()
-	cl.ring, cl.clients = newRing, newClients
-	cl.topoMu.Unlock()
+	core.topoMu.Lock()
+	core.ring, core.clients = newRing, newClients
+	core.topoMu.Unlock()
 	return nil
 }
 
@@ -636,9 +584,10 @@ func (cl *Cluster) AddShard(ctx context.Context, baseURL string) error {
 // the shrunken ring (same copy-then-drop replay as AddShard, same
 // static-topology contract). The last shard cannot be removed.
 func (cl *Cluster) RemoveShard(ctx context.Context, baseURL string) error {
-	cl.topoMu.RLock()
-	oldRing, oldClients := cl.ring, cl.clients
-	cl.topoMu.RUnlock()
+	core := cl.core
+	core.topoMu.RLock()
+	oldRing, oldClients := core.ring, core.clients
+	core.topoMu.RUnlock()
 	donorIdx := -1
 	for i, name := range oldRing.names {
 		if name == baseURL {
@@ -661,23 +610,33 @@ func (cl *Cluster) RemoveShard(ctx context.Context, baseURL string) error {
 		newNames = append(newNames, name)
 		newClients = append(newClients, oldClients[i])
 	}
-	newRing := newRing(newNames, cl.cfg.VirtualNodes)
+	newRing := newRing(newNames, core.cfg.VirtualNodes)
 
 	// Every key the donor owned moves; keys on other shards stay put
 	// (removing a shard's points leaves all other points in place).
-	donor := oldClients[donorIdx]
+	donors, dests := bindAll(ctx, oldClients[donorIdx:donorIdx+1]), bindAll(ctx, newClients)
 	err := captureTransport(func() {
-		converge(ctx, []*Client{donor}, func() int {
-			return cl.drainAll(ctx, donor, newRing, newClients)
+		converge(donors, func() int {
+			return drainAll(donors[0], newRing, dests)
 		})
 	})
 	if err != nil {
 		return fmt.Errorf("netboard: remove shard %s: %w", baseURL, err)
 	}
-	cl.topoMu.Lock()
-	cl.ring, cl.clients = newRing, newClients
-	cl.topoMu.Unlock()
+	core.topoMu.Lock()
+	core.ring, core.clients = newRing, newClients
+	core.topoMu.Unlock()
 	return nil
+}
+
+// bindAll returns copies of clients that issue their requests under
+// ctx: a drain runs under its caller's context, not the cluster's.
+func bindAll(ctx context.Context, clients []*Client) []*Client {
+	out := make([]*Client, len(clients))
+	for i, c := range clients {
+		out[i] = c.withContext(ctx)
+	}
+	return out
 }
 
 // maxDrainPasses bounds the drain's converge loop. A pass beyond the
@@ -694,12 +653,12 @@ const maxDrainPasses = 16
 // network duplicate that commits on a donor *after* a snapshot (the
 // conditional drop refuses to erase it) is picked up by the next pass
 // instead of being silently lost.
-func converge(ctx context.Context, donors []*Client, pass func() int) {
+func converge(donors []*Client, pass func() int) {
 	for i := 0; ; i++ {
 		if i == maxDrainPasses {
 			panic(&TransportError{Err: fmt.Errorf("drain did not converge after %d passes: new postings keep arriving on the donor (cluster is not quiescent)", maxDrainPasses)})
 		}
-		scatter(len(donors), func(k int) { donors[k].quiesce(ctx) })
+		scatter(len(donors), func(k int) { donors[k].Quiesce() })
 		if pass() == 0 {
 			return
 		}
@@ -709,21 +668,21 @@ func converge(ctx context.Context, donors []*Client, pass func() int) {
 // drainMoved moves the donor's keys whose owner changed between
 // oldRing and newRing (shard indices aligned) to their new owners,
 // returning how many postings and probe results it moved.
-func (cl *Cluster) drainMoved(ctx context.Context, donor *Client, donorIdx int, oldRing, newRing *Ring, newClients []*Client) int {
+func drainMoved(donor *Client, donorIdx int, oldRing, newRing *Ring, newClients []*Client) int {
 	moved := 0
-	for _, topic := range donor.topics(ctx) {
+	for _, topic := range donor.Topics() {
 		if oldRing.Owner(topic) != donorIdx {
 			// Not this donor's key (possible only if the cluster was fed
 			// through a differently-specced client); leave it alone.
 			continue
 		}
 		if dest := newRing.Owner(topic); dest != donorIdx {
-			moved += moveTopic(ctx, donor, newClients[dest], topic)
+			moved += moveTopic(donor, newClients[dest], topic)
 		}
 	}
-	n := donor.stats(ctx).N
+	n := donor.stats().N
 	for p := 0; p < n; p++ {
-		moved += cl.moveProbes(ctx, donor, donorIdx, newRing, newClients, p, func(o int) bool {
+		moved += moveProbes(donor, donorIdx, newRing, newClients, p, func(o int) bool {
 			return oldRing.Owner(objKey(o)) == donorIdx
 		})
 	}
@@ -732,14 +691,14 @@ func (cl *Cluster) drainMoved(ctx context.Context, donor *Client, donorIdx int, 
 
 // drainAll moves everything the donor holds to its owner in newRing
 // (the donor is not in newRing), returning how much it moved.
-func (cl *Cluster) drainAll(ctx context.Context, donor *Client, newRing *Ring, newClients []*Client) int {
+func drainAll(donor *Client, newRing *Ring, newClients []*Client) int {
 	moved := 0
-	for _, topic := range donor.topics(ctx) {
-		moved += moveTopic(ctx, donor, newClients[newRing.Owner(topic)], topic)
+	for _, topic := range donor.Topics() {
+		moved += moveTopic(donor, newClients[newRing.Owner(topic)], topic)
 	}
-	n := donor.stats(ctx).N
+	n := donor.stats().N
 	for p := 0; p < n; p++ {
-		moved += cl.moveProbes(ctx, donor, -1, newRing, newClients, p, func(int) bool { return true })
+		moved += moveProbes(donor, -1, newRing, newClients, p, func(int) bool { return true })
 	}
 	return moved
 }
@@ -752,14 +711,14 @@ func (cl *Cluster) drainAll(ctx context.Context, donor *Client, newRing *Ring, n
 // drop refuses, and the loop replays just the delta (donor postings are
 // append-ordered) and tries again. Returns the number of postings
 // replayed.
-func moveTopic(ctx context.Context, donor, dest *Client, topic string) int {
+func moveTopic(donor, dest *Client, topic string) int {
 	replayedVec, replayedVal, moved := 0, 0, 0
 	for attempt := 0; ; attempt++ {
 		if attempt == maxDrainPasses {
 			panic(&TransportError{Err: fmt.Errorf("drain of topic %q did not converge after %d attempts", topic, maxDrainPasses)})
 		}
-		posts := donor.postings(ctx, topic)
-		vals := donor.valuePostings(ctx, topic)
+		posts := donor.Postings(topic)
+		vals := donor.ValuePostings(topic)
 		if len(posts) == 0 && len(vals) == 0 {
 			// Dropped (this loop's previous attempt succeeded) or the
 			// topic never existed.
@@ -771,17 +730,17 @@ func moveTopic(ctx context.Context, donor, dest *Client, topic string) int {
 			replayedVec, replayedVal = 0, 0
 		}
 		for _, p := range posts[replayedVec:] {
-			dest.postTopic(ctx, topic, p.Player, p.Vec)
+			dest.Post(topic, p.Player, p.Vec)
 		}
 		for _, vp := range vals[replayedVal:] {
-			dest.postValues(ctx, topic, vp.Player, vp.Vals)
+			dest.PostValues(topic, vp.Player, vp.Vals)
 		}
 		moved += len(posts) - replayedVec + len(vals) - replayedVal
 		replayedVec, replayedVal = len(posts), len(vals)
 		// The acknowledgement carries no outcome (a deduplicated retry
 		// could not reproduce it); the re-read at the top of the loop
 		// verifies the drop took.
-		donor.dropTopicIf(ctx, topic, replayedVec, replayedVal)
+		donor.dropTopicIf(topic, replayedVec, replayedVal)
 	}
 }
 
@@ -793,8 +752,8 @@ func moveTopic(ctx context.Context, donor, dest *Client, topic string) int {
 // straggler lands after the snapshot survives on the donor for the next
 // converge pass instead of being erased unmoved. Returns the number of
 // results moved.
-func (cl *Cluster) moveProbes(ctx context.Context, donor *Client, donorIdx int, newRing *Ring, newClients []*Client, p int, owned func(o int) bool) int {
-	pairs := donor.probedPairs(ctx, p)
+func moveProbes(donor *Client, donorIdx int, newRing *Ring, newClients []*Client, p int, owned func(o int) bool) int {
+	pairs := donor.probedPairs(p)
 	byDest := make(map[int][]objGrade)
 	for _, og := range pairs {
 		if !owned(og.Object) {
@@ -815,10 +774,10 @@ func (cl *Cluster) moveProbes(ctx context.Context, donor *Client, donorIdx int, 
 			objs[j] = og.Object
 			grades[j] = og.Grade
 		}
-		newClients[dest].postProbes(ctx, p, objs, grades)
+		newClients[dest].PostProbes(p, objs, grades)
 		moved = append(moved, objs...)
 	}
-	donor.clearProbes(ctx, p, moved)
+	donor.ClearProbes(p, moved)
 	return len(moved)
 }
 

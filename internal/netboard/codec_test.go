@@ -72,10 +72,10 @@ func TestClusterMixedCodecFaultnetFallback(t *testing.T) {
 	}
 
 	_, clients := cluster.topo()
-	if !clients[1].binaryOff.Load() {
+	if !clients[1].core.binaryOff.Load() {
 		t.Fatal("JSON-only shard never tripped the client's sticky JSON fallback")
 	}
-	if clients[0].binaryOff.Load() || clients[2].binaryOff.Load() {
+	if clients[0].core.binaryOff.Load() || clients[2].core.binaryOff.Load() {
 		t.Fatal("a binary-capable shard lost its binary codec")
 	}
 	if boards[1].ProbeCount() == 0 && boards[1].VectorPostCount() == 0 {
@@ -95,6 +95,35 @@ func TestClusterMixedCodecFaultnetFallback(t *testing.T) {
 	}
 	if err := cluster.Err(); err != nil {
 		t.Fatalf("cluster degraded: %v", err)
+	}
+}
+
+// TestWireTagsPinned pins each message's binary tag byte. Tags are wire
+// contract: retiring a message (0x01, 0x02, 0x06 and 0x09 are retired)
+// must not shift the tag of any surviving one.
+func TestWireTagsPinned(t *testing.T) {
+	for _, tc := range []struct {
+		msg wire.Message
+		tag byte
+	}{
+		{&probedObjectsReply{}, 0x03},
+		{&vectorPost{}, 0x04},
+		{&postingList{}, 0x05},
+		{&valuesPost{}, 0x07},
+		{&valuePostingList{}, 0x08},
+		{&dropPost{}, 0x0a},
+		{&batchProbesPost{}, 0x0b},
+		{&batchLookupsReply{}, 0x0c},
+		{&topicSnapshotReply{}, 0x0d},
+		{&topicsReply{}, 0x0e},
+		{&clearProbesPost{}, 0x0f},
+		{&quiesceReply{}, 0x10},
+		{&dropIfPost{}, 0x11},
+		{&statsReply{}, 0x12},
+	} {
+		if got := tc.msg.WireTag(); got != tc.tag {
+			t.Errorf("%T: wire tag 0x%02x, want 0x%02x", tc.msg, got, tc.tag)
+		}
 	}
 }
 
@@ -234,10 +263,10 @@ func FuzzCodecRoundTrip(f *testing.F) {
 			msg   wire.Message
 			fresh func() wire.Message
 		}{
-			{&probePost{Player: g.intn(1 << 12), Object: g.intn(1 << 12), Value: g.byte() % 2},
-				func() wire.Message { return &probePost{} }},
-			{&probeReply{Value: g.byte() % 2, OK: g.intn(2) == 1},
-				func() wire.Message { return &probeReply{} }},
+			{&batchProbesPost{Player: g.intn(1 << 12), Objects: []int{g.intn(1 << 12)}, Grades: g.bits(1)},
+				func() wire.Message { return &batchProbesPost{} }},
+			{&batchLookupsReply{Grades: g.bits(1)},
+				func() wire.Message { return &batchLookupsReply{} }},
 			{&vectorPost{Topic: g.text(12), Player: g.intn(1 << 12), Bits: wire.Bits{P: g.partial(g.width())}},
 				func() wire.Message { return &vectorPost{} }},
 			{&valuesPost{Topic: g.text(12), Player: g.intn(1 << 12), Vals: g.vals()},
@@ -248,9 +277,10 @@ func FuzzCodecRoundTrip(f *testing.F) {
 				func() wire.Message { return &batchLookupsReply{} }},
 			{&postingList{{Player: g.intn(100), Bits: wire.Bits{P: g.partial(g.width())}}},
 				func() wire.Message { return &postingList{} }},
-			{&voteList{}, func() wire.Message { return &voteList{} }},
-			{ptr(g.votes(g.intn(4))), func() wire.Message { return &voteList{} }},
-			{ptr(g.valueVotes(g.intn(4))), func() wire.Message { return &valueVoteList{} }},
+			{&topicSnapshotReply{Votes: g.votes(g.intn(4))},
+				func() wire.Message { return &topicSnapshotReply{} }},
+			{&topicSnapshotReply{ValueVotes: g.valueVotes(g.intn(4))},
+				func() wire.Message { return &topicSnapshotReply{} }},
 			{&topicSnapshotReply{Gen: uint64(g.byte()), Epoch: uint64(g.byte()), Unchanged: g.intn(2) == 1,
 				Votes: g.votes(g.intn(3)), ValueVotes: g.valueVotes(g.intn(3))},
 				func() wire.Message { return &topicSnapshotReply{} }},
@@ -273,8 +303,6 @@ func FuzzCodecRoundTrip(f *testing.F) {
 	})
 }
 
-func ptr[T any](v T) *T { return &v }
-
 // FuzzBinaryDecode throws arbitrary bytes at the binary decoder of
 // every message type: it may reject, it must never panic or hang, and
 // anything it accepts must normalize in one step — re-encoding the
@@ -288,13 +316,11 @@ func FuzzBinaryDecode(f *testing.F) {
 	f.Add([]byte{'T', 'B', 1, 0x0d, 0xff, 0xff, 0xff, 0xff, 0x0f})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, fresh := range []func() wire.Message{
-			func() wire.Message { return &probePost{} },
+			func() wire.Message { return &batchLookupsReply{} },
 			func() wire.Message { return &probedObjectsReply{} },
 			func() wire.Message { return &vectorPost{} },
 			func() wire.Message { return &postingList{} },
-			func() wire.Message { return &voteList{} },
 			func() wire.Message { return &valuePostingList{} },
-			func() wire.Message { return &valueVoteList{} },
 			func() wire.Message { return &batchProbesPost{} },
 			func() wire.Message { return &topicSnapshotReply{} },
 			func() wire.Message { return &topicsReply{} },

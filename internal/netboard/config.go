@@ -1,6 +1,7 @@
 package netboard
 
 import (
+	"context"
 	"net/http"
 	"time"
 
@@ -30,10 +31,10 @@ const (
 )
 
 // Config consolidates every Client knob — transport, failure handling,
-// retry schedule, batching, telemetry — in one validated struct,
+// retry schedule, telemetry, codec — in one validated struct,
 // replacing the historical pattern of constructing a bare Client and
 // poking exported fields. The zero value is a working configuration
-// (no retries, default transport, batched protocol, panic on terminal
+// (no retries, default transport, JSON codec, panic on terminal
 // failure), matching what NewClient has always produced.
 type Config struct {
 	// HTTPClient performs the requests; nil builds a pooled client from
@@ -65,9 +66,6 @@ type Config struct {
 	RetryBackoff time.Duration
 	// JitterSeed seeds the backoff jitter stream (0 = a random seed).
 	JitterSeed uint64
-	// DisableBatch switches off request batching and the topic
-	// snapshot cache (the legacy one-request-per-operation protocol).
-	DisableBatch bool
 	// Telemetry, when non-nil, receives per-endpoint request counts,
 	// latency histograms and the retry counter, keyed under
 	// TelemetryPrefix.
@@ -141,9 +139,10 @@ func NewClientWithConfig(baseURL string, cfg Config) *Client {
 		Retries:         cfg.Retries,
 		RetryBackoff:    cfg.RetryBackoff,
 		JitterSeed:      cfg.JitterSeed,
-		DisableBatch:    cfg.DisableBatch,
 		Telemetry:       cfg.Telemetry,
 		TelemetryPrefix: cfg.TelemetryPrefix,
 		Codec:           cfg.Codec,
+		ctx:             context.Background(),
+		core:            new(clientCore),
 	}
 }

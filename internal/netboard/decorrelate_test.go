@@ -1,7 +1,6 @@
 package netboard
 
 import (
-	"context"
 	"testing"
 	"time"
 )
@@ -44,7 +43,7 @@ func jitterFactors(c *Client, k int) []time.Duration {
 	c.RetryBackoff = time.Second
 	c.sleep = func(d time.Duration) { out = append(out, d) }
 	for i := 0; i < k; i++ {
-		if err := c.backoff(context.Background(), 1); err != nil {
+		if err := c.backoff(1); err != nil {
 			panic(err)
 		}
 	}

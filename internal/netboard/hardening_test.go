@@ -70,7 +70,7 @@ func TestReadHandlersRequireGET(t *testing.T) {
 	defer srv.Close()
 
 	paths := []string{
-		PathPostings, PathVotes, PathValuePostings, PathValueVotes,
+		PathPostings, PathValuePostings,
 		PathProbedObjects, PathStats, PathBatchLookups, PathTopicSnapshot,
 	}
 	for _, path := range paths {
@@ -114,33 +114,34 @@ func TestBatchProbesParity(t *testing.T) {
 }
 
 func TestBatchEndpointsMatchLegacy(t *testing.T) {
-	// The batched client and the legacy client must observe identical
-	// board state.
+	// The batch forms and the single-probe forms (one-element batches)
+	// must observe identical board state.
 	board, c, done := newPair(t, 4, 32)
 	defer done()
-	legacy := NewClient(c.BaseURL)
-	legacy.DisableBatch = true
 
 	c.PostProbes(1, []int{2, 9}, []byte{1, 0})
-	legacy.PostProbes(1, []int{20, 21}, []byte{0, 1})
+	c.PostProbe(1, 20, 0)
+	c.PostProbe(1, 21, 1)
 	if board.ProbeCount() != 4 {
 		t.Fatalf("ProbeCount = %d", board.ProbeCount())
 	}
-	for _, cl := range []*Client{c, legacy} {
-		grades := make([]byte, 3)
-		known := make([]bool, 3)
-		cl.LookupProbes(1, []int{2, 21, 30}, grades, known)
-		if !known[0] || grades[0] != 1 || !known[1] || grades[1] != 1 || known[2] {
-			t.Fatalf("DisableBatch=%v lookup mismatch: %v %v", cl.DisableBatch, grades, known)
+	grades := make([]byte, 3)
+	known := make([]bool, 3)
+	objs := []int{2, 21, 30}
+	c.LookupProbes(1, objs, grades, known)
+	if !known[0] || grades[0] != 1 || !known[1] || grades[1] != 1 || known[2] {
+		t.Fatalf("batch lookup mismatch: %v %v", grades, known)
+	}
+	for k, o := range objs {
+		if g, ok := c.LookupProbe(1, o); g != grades[k] || ok != known[k] {
+			t.Fatalf("LookupProbe(1, %d) = (%d,%v), batch lookup (%d,%v)", o, g, ok, grades[k], known[k])
 		}
 	}
 
 	c.PostValues("t", 0, []uint32{1, 2})
 	c.PostValues("t", 1, []uint32{1, 2})
-	bv := c.ValueVotes("t")
-	lv := legacy.ValueVotes("t")
-	if len(bv) != 1 || len(lv) != 1 || bv[0].Count != lv[0].Count {
-		t.Fatalf("votes differ: batched %+v legacy %+v", bv, lv)
+	if bv := c.ValueVotes("t"); len(bv) != 1 || bv[0].Count != 2 {
+		t.Fatalf("value votes %+v, want one vote of count 2", bv)
 	}
 }
 
@@ -370,6 +371,35 @@ func TestClientDegradedModeIsDetectable(t *testing.T) {
 	c.ProbeCount()
 	if c.Err() != first {
 		t.Fatal("Err did not stick to the first failure")
+	}
+}
+
+// TestLookupProbesWrongLengthReplyZeroes covers the second degraded
+// path of LookupProbes: a reply whose grade string does not match the
+// batch. The call must fail through OnError and leave every answer at
+// (0, false) — a reused scratch buffer must not report stale grades as
+// known.
+func TestLookupProbesWrongLengthReplyZeroes(t *testing.T) {
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set(HeaderProto, ProtoVersion)
+		w.Header().Set("Content-Type", "application/json")
+		w.Write([]byte(`{"grades":"1"}`)) // one grade for a three-object batch
+	}))
+	defer srv.Close()
+	c := NewClient(srv.URL)
+	var seen []error
+	c.OnError = func(err error) { seen = append(seen, err) }
+
+	grades := []byte{1, 1, 1}
+	known := []bool{true, true, true}
+	c.LookupProbes(0, []int{0, 1, 2}, grades, known)
+	if len(seen) != 1 || c.Failures() != 1 {
+		t.Fatalf("OnError calls %d, failures %d, want 1 each", len(seen), c.Failures())
+	}
+	for k := range grades {
+		if grades[k] != 0 || known[k] {
+			t.Fatalf("answer %d = (%d,%v) after a malformed reply, want (0,false)", k, grades[k], known[k])
+		}
 	}
 }
 

@@ -9,8 +9,8 @@ import (
 	"time"
 
 	"tellme/internal/billboard"
-	"tellme/internal/boardclient"
 	"tellme/internal/bitvec"
+	"tellme/internal/boardclient"
 	"tellme/internal/core"
 	"tellme/internal/ints"
 	"tellme/internal/prefs"
@@ -110,12 +110,25 @@ func TestServerRejectsBadRequests(t *testing.T) {
 	c.PostProbe(99, 0, 1) // player out of range
 	c.PostProbe(0, 99, 1) // object out of range
 	c.PostProbe(0, 0, 7)  // bad grade
-	if len(errs) != 3 {
-		t.Fatalf("expected 3 rejections, got %v", errs)
+	c.Postings("")        // empty topic
+	c.ValuePostings("")   // empty topic
+	if len(errs) != 5 {
+		t.Fatalf("expected 5 rejections, got %v", errs)
 	}
 	for _, e := range errs {
 		if !strings.Contains(e, "400") {
 			t.Fatalf("expected 400 error, got %q", e)
+		}
+	}
+	// A missing topic parameter is rejected like an empty one.
+	for _, path := range []string{PathPostings, PathValuePostings} {
+		resp, err := http.Get(c.BaseURL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("GET %s without topic: status %d, want 400", path, resp.StatusCode)
 		}
 	}
 }

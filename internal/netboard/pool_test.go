@@ -64,11 +64,11 @@ func TestClusterShardsShareOneTransport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	first := cl.clients[0].HTTPClient
+	first := cl.core.clients[0].HTTPClient
 	if first == nil || first == http.DefaultClient {
 		t.Fatal("shard 0 has no pooled client")
 	}
-	for i, c := range cl.clients {
+	for i, c := range cl.core.clients {
 		if c.HTTPClient != first {
 			t.Fatalf("shard %d has its own http client; cluster must share one pool", i)
 		}

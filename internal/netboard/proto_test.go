@@ -34,13 +34,13 @@ func TestServerStampsProtoHeader(t *testing.T) {
 		t.Fatalf("GET %s: %s = %q, want %q", PathStats, HeaderProto, got, ProtoVersion)
 	}
 
-	post, err := http.Post(srv.URL+PathProbe, "application/json", strings.NewReader(`{"player":0,"object":0,"value":1}`))
+	post, err := http.Post(srv.URL+PathBatchProbes, "application/json", strings.NewReader(`{"player":0,"objects":[0],"grades":"1"}`))
 	if err != nil {
 		t.Fatal(err)
 	}
 	post.Body.Close()
 	if got := post.Header.Get(HeaderProto); got != ProtoVersion {
-		t.Fatalf("POST %s: %s = %q, want %q", PathProbe, HeaderProto, got, ProtoVersion)
+		t.Fatalf("POST %s: %s = %q, want %q", PathBatchProbes, HeaderProto, got, ProtoVersion)
 	}
 
 	// Even a rejected request gets the stamp: the 400 below is the
@@ -65,7 +65,7 @@ func TestServerRejectsProtoMismatch(t *testing.T) {
 	srv := httptest.NewServer(NewServer(board))
 	defer srv.Close()
 
-	req, _ := http.NewRequest(http.MethodPost, srv.URL+PathProbe, strings.NewReader(`{"player":0,"object":0,"value":1}`))
+	req, _ := http.NewRequest(http.MethodPost, srv.URL+PathBatchProbes, strings.NewReader(`{"player":0,"objects":[0],"grades":"1"}`))
 	req.Header.Set(HeaderProto, "2")
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
@@ -81,7 +81,7 @@ func TestServerRejectsProtoMismatch(t *testing.T) {
 
 	// Headerless requests are fine: the check only bites on an explicit
 	// wrong announcement.
-	bare, err := http.Post(srv.URL+PathProbe, "application/json", strings.NewReader(`{"player":0,"object":0,"value":1}`))
+	bare, err := http.Post(srv.URL+PathBatchProbes, "application/json", strings.NewReader(`{"player":0,"objects":[0],"grades":"1"}`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +172,7 @@ func TestConfigNormalizedDefaults(t *testing.T) {
 
 	a, b := NewClient("http://x"), NewClientWithConfig("http://x", Config{})
 	if a.BaseURL != b.BaseURL || a.Retries != b.Retries || a.RetryBackoff != b.RetryBackoff ||
-		a.DisableBatch != b.DisableBatch || a.TelemetryPrefix != b.TelemetryPrefix {
+		a.TelemetryPrefix != b.TelemetryPrefix {
 		t.Fatalf("NewClient %+v differs from zero-Config constructor %+v", a, b)
 	}
 }

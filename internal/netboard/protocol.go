@@ -9,9 +9,10 @@
 // no authentication, but the transport is built to survive a faulty
 // network (see DESIGN.md §8 for the full wire contract):
 //
-//   - Batching: /v1/batch/probes posts a whole set of probe results in
-//     one request, /v1/batch/lookups reads one, and /v1/topic-snapshot
-//     returns a topic's vote tallies stamped with the board's
+//   - Batching: probe results only travel in batches — /v1/batch/probes
+//     posts a set of them in one request, /v1/batch/lookups reads one,
+//     and a single result is a one-element batch. Vote tallies are read
+//     only through /v1/topic-snapshot, stamped with the board's
 //     (generation, epoch) pair so clients re-download tallies only when
 //     the topic actually changed.
 //   - Idempotency: every mutating request carries a client-generated
@@ -25,18 +26,18 @@
 //     (see Client.Err).
 package netboard
 
-import "tellme/internal/wire"
+import (
+	"tellme/internal/billboard"
+	"tellme/internal/wire"
+)
 
 // Paths of the HTTP endpoints.
 const (
-	PathProbe         = "/v1/probe"          // POST: post a probe result; GET: look one up
 	PathProbedObjects = "/v1/probed-objects" // GET: all of one player's probe results
 	PathVector        = "/v1/vector"         // POST: post a partial vector
 	PathPostings      = "/v1/postings"       // GET: vector postings of a topic
-	PathVotes         = "/v1/votes"          // GET: tallied vector votes of a topic
 	PathValues        = "/v1/values"         // POST: post a value vector
 	PathValuePostings = "/v1/value-postings" // GET: value postings of a topic
-	PathValueVotes    = "/v1/value-votes"    // GET: tallied value votes of a topic
 	PathDropTopic     = "/v1/drop-topic"     // POST: delete a topic
 	PathStats         = "/v1/stats"          // GET: counters
 	PathBatchProbes   = "/v1/batch/probes"   // POST: post many probe results at once
@@ -81,19 +82,6 @@ const (
 	ProtoVersion = "1"
 )
 
-// probePost is the POST body for PathProbe.
-type probePost struct {
-	Player int  `json:"player"`
-	Object int  `json:"object"`
-	Value  byte `json:"value"`
-}
-
-// probeReply answers a PathProbe GET.
-type probeReply struct {
-	Value byte `json:"value"`
-	OK    bool `json:"ok"`
-}
-
 // probedObjectsReply answers PathProbedObjects; pairs of (object, grade).
 type probedObjectsReply struct {
 	Objects []objGrade `json:"objects"`
@@ -127,8 +115,7 @@ type voteJSON struct {
 	Voters []int     `json:"voters"`
 }
 
-// voteList is the PathVotes reply body (and the Votes field of a topic
-// snapshot).
+// voteList is the Votes field of a topic snapshot.
 type voteList []voteJSON
 
 // valuesPost is the POST body for PathValues.
@@ -154,8 +141,7 @@ type valueVoteJSON struct {
 	Voters []int    `json:"voters"`
 }
 
-// valueVoteList is the PathValueVotes reply body (and the ValueVotes
-// field of a topic snapshot).
+// valueVoteList is the ValueVotes field of a topic snapshot.
 type valueVoteList []valueVoteJSON
 
 // dropPost is the POST body for PathDropTopic.
@@ -190,6 +176,19 @@ type topicSnapshotReply struct {
 	Unchanged  bool          `json:"unchanged,omitempty"`
 	Votes      voteList      `json:"votes,omitempty"`
 	ValueVotes valueVoteList `json:"valueVotes,omitempty"`
+}
+
+// tallies converts the snapshot's wire tallies to board values.
+func (t *topicSnapshotReply) tallies() ([]billboard.Vote, []billboard.ValueVote) {
+	votes := make([]billboard.Vote, len(t.Votes))
+	for i, v := range t.Votes {
+		votes[i] = billboard.Vote{Vec: v.Bits.P, Count: v.Count, Voters: v.Voters}
+	}
+	valVotes := make([]billboard.ValueVote, len(t.ValueVotes))
+	for i, v := range t.ValueVotes {
+		valVotes[i] = billboard.ValueVote{Vals: v.Vals, Count: v.Count, Voters: v.Voters}
+	}
+	return votes, valVotes
 }
 
 // topicsReply answers PathTopics: all live topic names, sorted.

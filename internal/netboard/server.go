@@ -108,14 +108,11 @@ func NewServer(board *billboard.Board, opts ...ServerOption) *Server {
 		s.mux.HandleFunc(PathTelemetry, s.readOnly(s.handleTelemetry))
 		s.mux.HandleFunc(PathTelemetryProm, s.readOnly(s.handleTelemetryProm))
 	}
-	s.handle(PathProbe, s.handleProbe)
 	s.handle(PathProbedObjects, s.readOnly(s.handleProbedObjects))
 	s.handle(PathVector, s.handleVector)
 	s.handle(PathPostings, s.readOnly(s.handlePostings))
-	s.handle(PathVotes, s.readOnly(s.handleVotes))
 	s.handle(PathValues, s.handleValues)
 	s.handle(PathValuePostings, s.readOnly(s.handleValuePostings))
-	s.handle(PathValueVotes, s.readOnly(s.handleValueVotes))
 	s.handle(PathDropTopic, s.handleDropTopic)
 	s.handle(PathStats, s.readOnly(s.handleStats))
 	s.handle(PathBatchProbes, s.handleBatchProbes)
@@ -176,7 +173,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.mux.ServeHTTP(w, r)
 }
 
-// readOnly enforces GET on read handlers, mirroring readJSON's POST
+// readOnly enforces GET on read handlers, mirroring readBody's POST
 // check on the mutating ones.
 func (s *Server) readOnly(h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
@@ -212,25 +209,20 @@ func (s *Server) writeReply(w http.ResponseWriter, r *http.Request, path string,
 	wire.WriteReply(w, r, v, s.jsonOnly, s.wireIns[path])
 }
 
-// decodeBody decodes a request body per its Content-Type — binary
-// bodies through the binary codec (415 when jsonOnly), everything else
-// as JSON — answering 415/400 itself on failure.
-func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, path string, v wire.Message) bool {
-	if status, err := wire.DecodeRequest(r, v, s.jsonOnly, s.wireIns[path]); status != 0 {
-		http.Error(w, err.Error(), status)
-		return false
-	}
-	return true
-}
-
-// readBody is decodeBody plus the POST method check every mutating
-// endpoint shares (the codec-aware successor of the old readJSON).
+// readBody checks the POST method every mutating endpoint shares and
+// decodes the request body per its Content-Type — binary bodies through
+// the binary codec (415 when jsonOnly), everything else as JSON —
+// answering 405/415/400 itself on failure.
 func (s *Server) readBody(w http.ResponseWriter, r *http.Request, path string, v wire.Message) bool {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST required", http.StatusMethodNotAllowed)
 		return false
 	}
-	return s.decodeBody(w, r, path, v)
+	if status, err := wire.DecodeRequest(r, v, s.jsonOnly, s.wireIns[path]); status != 0 {
+		http.Error(w, err.Error(), status)
+		return false
+	}
+	return true
 }
 
 // playerParam parses the player query parameter and validates range.
@@ -260,49 +252,6 @@ func (s *Server) validPlayer(w http.ResponseWriter, player int) bool {
 		return false
 	}
 	return true
-}
-
-func (s *Server) validPlayerObject(w http.ResponseWriter, player, object int) bool {
-	if !s.validPlayer(w, player) {
-		return false
-	}
-	if object < 0 || object >= s.board.M() {
-		http.Error(w, "invalid object", http.StatusBadRequest)
-		return false
-	}
-	return true
-}
-
-func (s *Server) handleProbe(w http.ResponseWriter, r *http.Request) {
-	switch r.Method {
-	case http.MethodPost:
-		var req probePost
-		if !s.decodeBody(w, r, PathProbe, &req) {
-			return
-		}
-		if !s.validPlayerObject(w, req.Player, req.Object) {
-			return
-		}
-		if req.Value > 1 {
-			http.Error(w, "grade must be 0 or 1", http.StatusBadRequest)
-			return
-		}
-		s.apply(w, r, func() { s.board.PostProbe(req.Player, req.Object, req.Value) })
-	case http.MethodGet:
-		p, ok := s.playerParam(w, r)
-		if !ok {
-			return
-		}
-		o, err := strconv.Atoi(r.URL.Query().Get("object"))
-		if err != nil || o < 0 || o >= s.board.M() {
-			http.Error(w, "invalid object", http.StatusBadRequest)
-			return
-		}
-		v, found := s.board.LookupProbe(p, o)
-		s.writeReply(w, r, PathProbe, &probeReply{Value: v, OK: found})
-	default:
-		http.Error(w, "GET or POST", http.StatusMethodNotAllowed)
-	}
 }
 
 func (s *Server) handleBatchProbes(w http.ResponseWriter, r *http.Request) {
@@ -401,18 +350,15 @@ func (s *Server) handleVector(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handlePostings(w http.ResponseWriter, r *http.Request) {
 	topic := r.URL.Query().Get("topic")
+	if !topicParam(w, topic) {
+		return
+	}
 	postings := s.board.Postings(topic)
 	out := make(postingList, len(postings))
 	for i, p := range postings {
 		out[i] = postingJSON{Player: p.Player, Bits: wire.Bits{P: p.Vec}}
 	}
 	s.writeReply(w, r, PathPostings, &out)
-}
-
-func (s *Server) handleVotes(w http.ResponseWriter, r *http.Request) {
-	topic := r.URL.Query().Get("topic")
-	out := votesToWire(s.board.Votes(topic))
-	s.writeReply(w, r, PathVotes, &out)
 }
 
 func votesToWire(votes []billboard.Vote) voteList {
@@ -436,18 +382,15 @@ func (s *Server) handleValues(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleValuePostings(w http.ResponseWriter, r *http.Request) {
 	topic := r.URL.Query().Get("topic")
+	if !topicParam(w, topic) {
+		return
+	}
 	postings := s.board.ValuePostings(topic)
 	out := make(valuePostingList, len(postings))
 	for i, p := range postings {
 		out[i] = valuePostingJSON{Player: p.Player, Vals: p.Vals}
 	}
 	s.writeReply(w, r, PathValuePostings, &out)
-}
-
-func (s *Server) handleValueVotes(w http.ResponseWriter, r *http.Request) {
-	topic := r.URL.Query().Get("topic")
-	out := valueVotesToWire(s.board.ValueVotes(topic))
-	s.writeReply(w, r, PathValueVotes, &out)
 }
 
 func valueVotesToWire(votes []billboard.ValueVote) valueVoteList {

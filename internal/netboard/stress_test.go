@@ -15,8 +15,8 @@ import (
 	"time"
 
 	"tellme/internal/billboard"
-	"tellme/internal/boardclient"
 	"tellme/internal/bitvec"
+	"tellme/internal/boardclient"
 	"tellme/internal/core"
 	"tellme/internal/ints"
 	"tellme/internal/netboard/faultnet"
@@ -196,11 +196,10 @@ func TestFaultnetCounters(t *testing.T) {
 	}
 }
 
-// benchmarkNetboardRun measures one full ZeroRadius simulation against
-// an HTTP billboard and reports the number of HTTP requests it took.
-// The batched/legacy pair quantifies the request reduction from the
-// batch endpoints and the snapshot cache (ISSUE 3 acceptance: ≥10×).
-func benchmarkNetboardRun(b *testing.B, legacy bool) {
+// BenchmarkNetboardRunBatched measures one full ZeroRadius simulation
+// against an HTTP billboard and reports the number of HTTP requests it
+// took.
+func BenchmarkNetboardRunBatched(b *testing.B) {
 	in := prefs.Identical(48, 256, 0.6, 3)
 	var requests int64
 	for i := 0; i < b.N; i++ {
@@ -210,7 +209,6 @@ func benchmarkNetboardRun(b *testing.B, legacy bool) {
 		meter := faultnet.New(nil, 1)
 		c := NewClient(srv.URL)
 		c.HTTPClient = &http.Client{Transport: meter}
-		c.DisableBatch = legacy
 		e := probe.NewEngine(in, c, rng.NewSource(8))
 		env := core.NewEnv(e, sim.NewRunner(4), rng.NewSource(9), core.DefaultConfig())
 		b.StartTimer()
@@ -222,6 +220,3 @@ func benchmarkNetboardRun(b *testing.B, legacy bool) {
 	}
 	b.ReportMetric(float64(requests)/float64(b.N), "requests/op")
 }
-
-func BenchmarkNetboardRunBatched(b *testing.B) { benchmarkNetboardRun(b, false) }
-func BenchmarkNetboardRunLegacy(b *testing.B)  { benchmarkNetboardRun(b, true) }

@@ -6,25 +6,23 @@ import "tellme/internal/wire"
 // front uses 0x20+). A tag identifies the message type inside a binary
 // frame so a decoder pointed at the wrong struct fails loudly instead
 // of misparsing; tags are wire contract — never renumber, only append.
+// Retired tags stay reserved: 0x01 and 0x02 were the single-probe post
+// and reply, 0x06 and 0x09 the standalone vote-list replies.
 const (
-	tagProbePost byte = 0x01 + iota
-	tagProbeReply
-	tagProbedObjectsReply
-	tagVectorPost
-	tagPostingList
-	tagVoteList
-	tagValuesPost
-	tagValuePostingList
-	tagValueVoteList
-	tagDropPost
-	tagBatchProbesPost
-	tagBatchLookupsReply
-	tagTopicSnapshotReply
-	tagTopicsReply
-	tagClearProbesPost
-	tagQuiesceReply
-	tagDropIfPost
-	tagStatsReply
+	tagProbedObjectsReply byte = 0x03
+	tagVectorPost         byte = 0x04
+	tagPostingList        byte = 0x05
+	tagValuesPost         byte = 0x07
+	tagValuePostingList   byte = 0x08
+	tagDropPost           byte = 0x0a
+	tagBatchProbesPost    byte = 0x0b
+	tagBatchLookupsReply  byte = 0x0c
+	tagTopicSnapshotReply byte = 0x0d
+	tagTopicsReply        byte = 0x0e
+	tagClearProbesPost    byte = 0x0f
+	tagQuiesceReply       byte = 0x10
+	tagDropIfPost         byte = 0x11
+	tagStatsReply         byte = 0x12
 )
 
 // Every message reads its fields back in AppendBinary order; the
@@ -32,32 +30,6 @@ const (
 // straight-line. Slices follow the wire package's nil-preserving
 // count+1 convention so a binary round trip is as faithful as the JSON
 // one (the differential fuzz oracle depends on it).
-
-func (*probePost) WireTag() byte { return tagProbePost }
-
-func (p *probePost) AppendBinary(dst []byte) []byte {
-	dst = wire.AppendUint(dst, uint64(p.Player))
-	dst = wire.AppendUint(dst, uint64(p.Object))
-	return append(dst, p.Value)
-}
-
-func (p *probePost) DecodeBinary(r *wire.Reader) {
-	p.Player = r.Int()
-	p.Object = r.Int()
-	p.Value = r.Byte()
-}
-
-func (*probeReply) WireTag() byte { return tagProbeReply }
-
-func (p *probeReply) AppendBinary(dst []byte) []byte {
-	dst = append(dst, p.Value)
-	return wire.AppendBool(dst, p.OK)
-}
-
-func (p *probeReply) DecodeBinary(r *wire.Reader) {
-	p.Value = r.Byte()
-	p.OK = r.Bool()
-}
 
 func (*probedObjectsReply) WireTag() byte { return tagProbedObjectsReply }
 
@@ -125,8 +97,8 @@ func (l *postingList) DecodeBinary(r *wire.Reader) {
 	}
 }
 
-// appendVoteList / decodeVoteList are shared between the standalone
-// voteList reply and the Votes field of a topic snapshot.
+// appendVoteList / decodeVoteList encode the Votes field of a topic
+// snapshot.
 func appendVoteList(dst []byte, l voteList) []byte {
 	if l == nil {
 		return wire.AppendUint(dst, 0)
@@ -155,12 +127,6 @@ func decodeVoteList(r *wire.Reader) voteList {
 	}
 	return l
 }
-
-func (*voteList) WireTag() byte { return tagVoteList }
-
-func (l *voteList) AppendBinary(dst []byte) []byte { return appendVoteList(dst, *l) }
-
-func (l *voteList) DecodeBinary(r *wire.Reader) { *l = decodeVoteList(r) }
 
 func (*valuesPost) WireTag() byte { return tagValuesPost }
 
@@ -231,12 +197,6 @@ func decodeValueVoteList(r *wire.Reader) valueVoteList {
 	}
 	return l
 }
-
-func (*valueVoteList) WireTag() byte { return tagValueVoteList }
-
-func (l *valueVoteList) AppendBinary(dst []byte) []byte { return appendValueVoteList(dst, *l) }
-
-func (l *valueVoteList) DecodeBinary(r *wire.Reader) { *l = decodeValueVoteList(r) }
 
 func (*dropPost) WireTag() byte { return tagDropPost }
 
