@@ -1,6 +1,6 @@
-# Tier-1 verification targets. `make verify` is the full gate: vet plus
-# the whole suite under the race detector, which exercises the lock-free
-# probe shards and the epoch-cached vote tallies under real
+# Tier-1 verification targets. `make verify` is the full gate: gofmt,
+# vet plus the whole suite under the race detector, which exercises the
+# lock-free probe planes and the epoch-cached vote tallies under real
 # interleavings (see internal/billboard/stress_test.go), and the
 # netboard fault-injection stress (internal/netboard/stress_test.go):
 # dropped requests, responses lost after the server committed, and
@@ -9,7 +9,7 @@
 
 GO ?= go
 
-.PHONY: build test race stress-net stress-cluster stress-churn race-telemetry race-cancel loadgen-smoke verify bench bench-net bench-telemetry bench-cancel bench-core bench-core-ab bench-wire bench-loadgen
+.PHONY: build test fmt race stress-net stress-cluster stress-churn race-telemetry race-cancel loadgen-smoke verify bench bench-net bench-telemetry bench-cancel bench-core bench-core-ab bench-wire bench-loadgen
 
 build:
 	$(GO) build ./...
@@ -19,6 +19,12 @@ test:
 
 race:
 	$(GO) vet ./... && $(GO) test -race ./...
+
+# The gofmt gate (also part of `verify`): fails, listing the files, when
+# gofmt would rewrite any Go file in the tree — the benchmark module
+# included, which the root module's ./... does not reach.
+fmt:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l reports:"; echo "$$out"; exit 1; fi
 
 # The netboard fault-injection stress on its own (it also runs as part
 # of `race`); useful when iterating on the wire protocol.
@@ -67,7 +73,7 @@ loadgen-smoke:
 	$(GO) run ./cmd/loadgen -players 10000 -m 64 -post-batch 16 -workers 40 \
 		-rates 20000 -duration 1s -out BENCH_NET.smoke.json
 
-verify: build race stress-net stress-cluster stress-churn race-telemetry race-cancel loadgen-smoke
+verify: build fmt race stress-net stress-cluster stress-churn race-telemetry race-cancel loadgen-smoke
 
 # Refresh the perf-trajectory snapshots at the repo root.
 # BENCH_1.json: core experiment benchmarks.

@@ -11,17 +11,18 @@
 // The board is safe for concurrent use: n player goroutines post and
 // read simultaneously during each simulated phase.
 //
-// Probe results live in dense per-player shards: a packed value plane
-// and a packed known plane of m bits each (the model's grades are
-// binary; non-zero grades are stored as 1). A post sets the value bit
-// before publishing the known bit, and both planes are accessed with
-// atomic word operations, so shards need no lock at all: the atomic
-// publish of the known bit is the happens-before edge a concurrent
-// reader needs, and the model guarantees a player's probe results are
-// written only by that player's goroutine. First post wins; duplicate
-// posts of the same (player, object) pair are no-ops. The cost is Θ(m)
-// bits per player up front instead of a sparse map that grows with the
-// number of probes — see DESIGN.md for the trade-off threshold.
+// Probe results live in dense per-player bit planes, carved by offset
+// from one slab: a packed value plane and a packed known plane of m bits
+// each (the model's grades are binary; non-zero grades are stored as
+// 1). A post sets the value bit before publishing the known bit, and
+// both planes are accessed with atomic word operations, so the planes
+// need no lock at all: the atomic publish of the known bit is the
+// happens-before edge a concurrent reader needs, and the model
+// guarantees a player's probe results are written only by that
+// player's goroutine. First post wins; duplicate posts of the same
+// (player, object) pair are no-ops. The cost is Θ(m) bits per player up
+// front instead of a sparse map that grows with the number of probes —
+// see DESIGN.md for the trade-off threshold.
 //
 // Topic postings use a two-level lock (board map, then per-topic). Each
 // topic carries an epoch counter, bumped under the topic lock on every
@@ -104,7 +105,12 @@ type Interface interface {
 type Board struct {
 	n, m int
 
-	probeShards []probeShard
+	// planes holds every player's probe results as two packed bit
+	// planes of words uint64s each, player p's value plane followed by
+	// its known plane (see probePlanes): one slab with no per-player
+	// slice headers for the GC to scan.
+	planes []atomic.Uint64
+	words  int
 
 	mu     sync.RWMutex
 	topics map[string]*topic
@@ -326,14 +332,13 @@ func (b *Board) topicStatTotals() topicStats {
 	return tot
 }
 
-// probeShard is one player's probe results as two packed bit planes.
-// known[o] publishes that object o was probed; val[o] holds the grade.
-// The value bit is set before the known bit, so any reader that
-// observes known also observes the grade (atomic operations order the
-// two stores).
-type probeShard struct {
-	val   []atomic.Uint64
-	known []atomic.Uint64
+// probePlanes returns player p's two packed bit planes: known[o]
+// publishes that object o was probed; val[o] holds the grade. The value
+// bit is set before the known bit, so any reader that observes known
+// also observes the grade (atomic operations order the two stores).
+func (b *Board) probePlanes(p int) (val, known []atomic.Uint64) {
+	off := 2 * p * b.words
+	return b.planes[off : off+b.words], b.planes[off+b.words : off+2*b.words]
 }
 
 // topic holds one topic's postings plus its lazily cached vote tallies.
@@ -438,17 +443,12 @@ type Vote struct {
 // New returns an empty board for n players and m objects.
 func New(n, m int) *Board {
 	words := (m + 63) / 64
-	planes := make([]atomic.Uint64, 2*n*words)
-	b := &Board{
+	return &Board{
 		n: n, m: m,
-		probeShards: make([]probeShard, n),
-		topics:      make(map[string]*topic),
+		planes: make([]atomic.Uint64, 2*n*words),
+		words:  words,
+		topics: make(map[string]*topic),
 	}
-	for i := range b.probeShards {
-		b.probeShards[i].val = planes[2*i*words : (2*i+1)*words]
-		b.probeShards[i].known = planes[(2*i+1)*words : (2*i+2)*words]
-	}
-	return b
 }
 
 // N returns the number of players the board was created for.
@@ -461,33 +461,33 @@ func (b *Board) M() int { return b.m }
 // Grades are binary; a non-zero val is stored as 1. The first post for
 // a (player, object) pair wins; duplicates are no-ops.
 func (b *Board) PostProbe(p, o int, val byte) {
-	s := &b.probeShards[p]
+	vals, known := b.probePlanes(p)
 	mask := uint64(1) << (uint(o) & 63)
 	w := o >> 6
-	if s.known[w].Load()&mask != 0 {
+	if known[w].Load()&mask != 0 {
 		return // duplicate
 	}
 	if val != 0 {
-		s.val[w].Or(mask)
+		vals[w].Or(mask)
 	}
 	// The duplicate check above is authoritative: probe results for p are
 	// posted only from p's goroutine (single-writer contract), so no other
 	// writer can set the known bit between the Load and the Or. The Or's
 	// return value is deliberately unused — consuming it makes the
 	// compiler emit a CMPXCHG loop instead of a plain LOCK OR.
-	s.known[w].Or(mask)
+	known[w].Or(mask)
 	b.probePosts.Add(1)
 }
 
 // LookupProbe returns player p's posted grade for object o, if posted.
 func (b *Board) LookupProbe(p, o int) (byte, bool) {
-	s := &b.probeShards[p]
+	val, known := b.probePlanes(p)
 	mask := uint64(1) << (uint(o) & 63)
 	w := o >> 6
-	if s.known[w].Load()&mask == 0 {
+	if known[w].Load()&mask == 0 {
 		return 0, false
 	}
-	if s.val[w].Load()&mask != 0 {
+	if val[w].Load()&mask != 0 {
 		return 1, true
 	}
 	return 0, true
@@ -497,13 +497,13 @@ func (b *Board) LookupProbe(p, o int) (byte, bool) {
 // ascending object order. It performs no allocation; fn must not post
 // probes for p reentrantly.
 func (b *Board) ForEachProbe(p int, fn func(o int, grade byte)) {
-	s := &b.probeShards[p]
-	for w := range s.known {
-		k := s.known[w].Load()
+	val, known := b.probePlanes(p)
+	for w := range known {
+		k := known[w].Load()
 		if k == 0 {
 			continue
 		}
-		v := s.val[w].Load()
+		v := val[w].Load()
 		base := w << 6
 		for k != 0 {
 			tz := bits.TrailingZeros64(k)
@@ -518,7 +518,7 @@ func (b *Board) ForEachProbe(p int, fn func(o int, grade byte)) {
 // ProbeTally tallies the probe planes column-wise: ones[o] counts the
 // players whose posted grade for object o is 1 and total[o] the players
 // with any posted grade for o, for every o < M(). ones and total are
-// reused when they have capacity (pass nil to allocate). The shards are
+// reused when they have capacity (pass nil to allocate). The planes are
 // fed straight into a bit-plane set, so the tally runs word-parallel
 // instead of bit-by-bit per player; the value plane is masked with the
 // known plane so a concurrent half-published post (value bit stored,
@@ -528,12 +528,12 @@ func (b *Board) ProbeTally(ones, total []int) ([]int, []int) {
 	w := bitvec.WordsFor(b.m)
 	row := make([]uint64, 2*w)
 	vr, kr := row[:w], row[w:]
-	for p := range b.probeShards {
-		s := &b.probeShards[p]
+	for p := 0; p < b.n; p++ {
+		val, known := b.probePlanes(p)
 		for i := range kr {
-			k := s.known[i].Load()
+			k := known[i].Load()
 			kr[i] = k
-			vr[i] = s.val[i].Load() & k
+			vr[i] = val[i].Load() & k
 		}
 		ps.AddBits(vr, kr)
 	}
@@ -841,15 +841,15 @@ func (b *Board) Topics() []string {
 // value bit, so a concurrent reader never observes a half-cleared
 // grade as posted.
 func (b *Board) ClearProbes(p int, objs []int) {
-	s := &b.probeShards[p]
+	val, known := b.probePlanes(p)
 	var cleared int64
 	for _, o := range objs {
 		mask := uint64(1) << (uint(o) & 63)
 		w := o >> 6
-		if old := s.known[w].And(^mask); old&mask != 0 {
+		if old := known[w].And(^mask); old&mask != 0 {
 			cleared++
 		}
-		s.val[w].And(^mask)
+		val[w].And(^mask)
 	}
 	if cleared > 0 {
 		b.probePosts.Add(-cleared)

@@ -41,6 +41,58 @@ func TestProbePostLookup(t *testing.T) {
 	}
 }
 
+// TestProbePlanesIsolatePlayers posts and then clears every object of
+// player p on boards whose m is not a multiple of 64 (the last plane
+// word is partial) and checks players p-1 and p+1, whose planes sit on
+// either side of p's in the slab, are untouched throughout.
+func TestProbePlanesIsolatePlayers(t *testing.T) {
+	for _, m := range []int{65, 130} {
+		t.Run(fmt.Sprintf("m=%d", m), func(t *testing.T) {
+			const p = 1
+			b := New(3, m)
+			// Neighbours get every third object, with alternating grades.
+			want := map[int]map[int]byte{p - 1: {}, p + 1: {}}
+			for q, objs := range want {
+				for o := q; o < m; o += 3 {
+					objs[o] = byte(o % 2)
+					b.PostProbe(q, o, objs[o])
+				}
+			}
+			checkNeighbours := func(step string) {
+				t.Helper()
+				for q, objs := range want {
+					got := b.ProbedObjects(q)
+					if len(got) != len(objs) {
+						t.Fatalf("%s: player %d has %d probes, want %d", step, q, len(got), len(objs))
+					}
+					for o, g := range objs {
+						if got[o] != g {
+							t.Fatalf("%s: player %d object %d = %d, want %d", step, q, o, got[o], g)
+						}
+					}
+				}
+			}
+			all := make([]int, m)
+			for o := range all {
+				all[o] = o
+				b.PostProbe(p, o, 1)
+			}
+			checkNeighbours("post")
+			if got := len(b.ProbedObjects(p)); got != m {
+				t.Fatalf("player %d has %d probes after posting all %d", p, got, m)
+			}
+			b.ClearProbes(p, all)
+			checkNeighbours("clear")
+			if got := len(b.ProbedObjects(p)); got != 0 {
+				t.Fatalf("player %d has %d probes after ClearProbes", p, got)
+			}
+			if got, want := b.ProbeCount(), int64(len(want[p-1])+len(want[p+1])); got != want {
+				t.Fatalf("ProbeCount = %d, want %d", got, want)
+			}
+		})
+	}
+}
+
 func TestProbedObjectsCopy(t *testing.T) {
 	b := New(2, 10)
 	b.PostProbe(1, 3, 0)

@@ -37,7 +37,6 @@ import (
 	"tellme/internal/rng"
 	"tellme/internal/sim"
 	"tellme/internal/telemetry"
-	"tellme/internal/trace"
 )
 
 // Config holds the constants the paper leaves as O(·) knobs. The zero
@@ -106,24 +105,20 @@ type Env struct {
 	Cfg  Config
 
 	topicSeq atomic.Int64
-	counters [nCounters]atomic.Int64
+	runs     [nKinds]atomic.Int64
 
 	// scratch is the coordinator-side region allocator (see coScratch).
 	// Like the rest of the coordinator state it is single-goroutine:
 	// only the goroutine driving the algorithms may run them on one Env.
 	scratch coScratch
 
-	// Trace, when non-nil, receives structured events from each
-	// sub-algorithm invocation (entry parameters and probe consumption).
-	Trace *trace.Log
 	// Telemetry, when non-nil, accumulates per-sub-algorithm cost
-	// counters ("core.<kind>.{calls,probes,ns}") from the same spans
-	// that feed Trace — the registry behind the -telemetry cost
-	// breakdown of cmd/experiments.
+	// counters ("core.<kind>.{calls,probes,ns}", see span) — the
+	// registry behind the -telemetry cost breakdown of cmd/experiments.
 	Telemetry *telemetry.Registry
 
 	telOnce  sync.Once
-	spanTels [nSpanKinds]spanCounters
+	spanTels [nKinds]spanCounters
 
 	// ctx/done carry the run's cancellation signal, taken from the probe
 	// engine in NewEnv. done is nil for an uncancellable run — every
@@ -132,7 +127,7 @@ type Env struct {
 	done <-chan struct{}
 
 	// cur is the innermost sub-algorithm kind entered so far, recorded
-	// by spanPlayers and reported through ActiveKind so an abort can say
+	// by span and reported through ActiveKind so an abort can say
 	// which phase it interrupted. Written only by the coordinator
 	// goroutine (spans start and end between phases, never inside one).
 	cur string
@@ -170,9 +165,9 @@ func (a *Abort) Error() string { return fmt.Sprintf("core: run aborted: %v", a.E
 func (a *Abort) Unwrap() error { return a.Err }
 
 // phase runs one fallible phase over the Env's context and unwinds with
-// *Abort when it fails. All algorithm phase bodies go through this (or
-// Clock.Run at the facade level), so cancellation and player panics
-// surface at the run boundary no matter how deep the recursion is.
+// *Abort when it fails. All algorithm phase bodies go through this, so
+// cancellation and player panics surface at the run boundary no matter
+// how deep the recursion is.
 func (env *Env) phase(players []int, f func(p int)) {
 	if err := env.Run.Phase(env.ctx, players, f); err != nil {
 		panic(&Abort{Err: err})
@@ -195,8 +190,7 @@ func (env *Env) checkAborted() {
 }
 
 // ActiveKind returns the innermost sub-algorithm kind entered so far
-// ("" when tracing and telemetry are both disabled or nothing ran); the
-// facade stamps it into RunError.Phase.
+// ("" when nothing ran); the facade stamps it into RunError.Phase.
 func (env *Env) ActiveKind() string { return env.cur }
 
 // Context returns the run's context (nil for an uncancellable run).
@@ -228,169 +222,84 @@ func (env *Env) dropQuietly(name string) {
 	env.Board.DropTopic(name)
 }
 
-// spanCounters are one span kind's pre-resolved instruments. Spans run
+// kind identifies one sub-algorithm the Env counts and spans.
+type kind uint8
+
+const (
+	kindZeroRadius kind = iota
+	kindSmallRadius
+	kindLargeRadius
+	kindCoalesce
+	kindRefresh
+	kindUnknownD
+	nKinds
+)
+
+// kinds names each kind twice: name keys RunCounts (and so
+// Report.SubAlgorithmRuns); metric names the telemetry counters
+// "core.<metric>.{calls,probes,ns}" and is what ActiveKind reports.
+var kinds = [nKinds]struct{ name, metric string }{
+	kindZeroRadius:  {"ZeroRadius", "zeroradius"},
+	kindSmallRadius: {"SmallRadius", "smallradius"},
+	kindLargeRadius: {"LargeRadius", "largeradius"},
+	kindCoalesce:    {"Coalesce", "coalesce"},
+	kindRefresh:     {"Refresh", "refresh"},
+	kindUnknownD:    {"UnknownD", "unknownd"},
+}
+
+// spanCounters are one kind's pre-resolved instruments. Spans run
 // inside the recursion (hundreds to tens of thousands per run), so the
 // registry's get-or-create lookup must not happen per span.
 type spanCounters struct {
 	calls, probes, ns *telemetry.Counter
 }
 
-// The span kinds used by the algorithms, indexable without a map.
-const (
-	spanRefresh = iota
-	spanSmallRadius
-	spanZeroRadius
-	spanLargeRadius
-	spanUnknownD
-	nSpanKinds
-)
+// spanNoop is the shared disabled-span closure, so runs without
+// telemetry do not allocate one closure per sub-algorithm invocation.
+var spanNoop = func() {}
 
-var spanKindNames = [nSpanKinds]string{
-	spanRefresh:     "refresh",
-	spanSmallRadius: "smallradius",
-	spanZeroRadius:  "zeroradius",
-	spanLargeRadius: "largeradius",
-	spanUnknownD:    "unknownd",
-}
-
-func spanKindIndex(kind string) int {
-	for i, name := range spanKindNames {
-		if name == kind {
-			return i
-		}
-	}
-	return -1
-}
-
-// spanCountersFor returns the cached instruments for kind, resolving
-// all known kinds once on first use. Unknown kinds (none today) fall
-// back to a direct registry lookup.
-func (env *Env) spanCountersFor(kind string) spanCounters {
+// span records one invocation of sub-algorithm k over players and
+// returns the closure that ends it; call sites use
+// `defer env.span(k, players)()`. It always counts the invocation (read
+// by RunCounts) and records k as the active kind; only with Telemetry
+// attached does it also measure the probes players charge and the wall
+// time spent until the closure runs. The probe measurement sweeps only
+// the participants, and is exact because players only probe their own
+// grades — a kind that charges no probes passes an empty group.
+func (env *Env) span(k kind, players []int) func() {
+	env.runs[k].Add(1)
+	env.cur = kinds[k].metric
 	tel := env.Telemetry
-	i := spanKindIndex(kind)
-	if i < 0 {
-		return spanCounters{
-			calls:  tel.Counter("core." + kind + ".calls"),
-			probes: tel.Counter("core." + kind + ".probes"),
-			ns:     tel.Counter("core." + kind + ".ns"),
-		}
+	if tel == nil {
+		return spanNoop
 	}
 	env.telOnce.Do(func() {
-		for k, name := range spanKindNames {
-			env.spanTels[k] = spanCounters{
-				calls:  tel.Counter("core." + name + ".calls"),
-				probes: tel.Counter("core." + name + ".probes"),
-				ns:     tel.Counter("core." + name + ".ns"),
+		for i, kd := range kinds {
+			env.spanTels[i] = spanCounters{
+				calls:  tel.Counter("core." + kd.metric + ".calls"),
+				probes: tel.Counter("core." + kd.metric + ".probes"),
+				ns:     tel.Counter("core." + kd.metric + ".ns"),
 			}
 		}
 	})
-	return env.spanTels[i]
-}
-
-// spanNoop is the shared disabled-span closure, so disabled runs do not
-// allocate one closure per sub-algorithm invocation.
-var spanNoop = func() {}
-
-// spanOff reports whether spans are disabled, recording the active kind
-// (for abort reporting) when they are. Hot sub-algorithms call it
-// before span/spanPlayers because the variadic kv boxes its arguments
-// at the call site — a real allocation even when the span itself would
-// be free, and ZeroRadius runs thousands of times per recursion.
-func (env *Env) spanOff(kind string) bool {
-	if env.Trace == nil && env.Telemetry == nil {
-		env.cur = kind
-		return true
-	}
-	return false
-}
-
-// span emits a start event and returns a closure that emits the
-// matching end event with the probes consumed and wall time spent in
-// between. With both Trace and Telemetry nil the span is free.
-func (env *Env) span(kind string, kv ...any) func() {
-	return env.spanPlayers(kind, nil, kv...)
-}
-
-// spanPlayers is span with the probe measurement restricted to the
-// participating players (nil means all). Sub-algorithms that run on a
-// small group pass it so a span costs two O(group) counter sweeps, not
-// two O(n) ones — ZeroRadius runs thousands of times per recursion.
-// Exact because players only probe their own grades, so a span's
-// consumption is entirely attributed to its participants.
-func (env *Env) spanPlayers(kind string, players []int, kv ...any) func() {
-	env.cur = kind
-	enabled := env.Telemetry != nil
-	if env.Trace == nil && !enabled {
-		return spanNoop
-	}
-	before := env.chargedSum(players)
-	var sc spanCounters
-	var start time.Time
-	if enabled {
-		sc = env.spanCountersFor(kind)
-		sc.calls.Inc()
-		start = time.Now()
-	}
-	if env.Trace != nil {
-		env.Trace.Event(kind+".start", kv...)
-	}
+	sc := env.spanTels[k]
+	sc.calls.Inc()
+	before := env.Engine.ChargedSum(players)
+	start := time.Now()
 	return func() {
-		probes := env.chargedSum(players) - before
-		if env.Trace != nil {
-			env.Trace.Event(kind+".end", "probes", probes)
-		}
-		if enabled {
-			sc.probes.Add(probes)
-			sc.ns.Add(time.Since(start).Nanoseconds())
-		}
+		sc.probes.Add(env.Engine.ChargedSum(players) - before)
+		sc.ns.Add(time.Since(start).Nanoseconds())
 	}
 }
-
-func (env *Env) chargedSum(players []int) int64 {
-	if players == nil {
-		return env.Engine.TotalCharged()
-	}
-	return env.Engine.ChargedSum(players)
-}
-
-// Counter identifies one invocation counter on an Env.
-type Counter int
-
-// Invocation counters, incremented once per (possibly nested) call.
-const (
-	CountZeroRadius Counter = iota
-	CountSmallRadius
-	CountLargeRadius
-	CountCoalesce
-	nCounters
-)
-
-// String names the counter.
-func (c Counter) String() string {
-	switch c {
-	case CountZeroRadius:
-		return "ZeroRadius"
-	case CountSmallRadius:
-		return "SmallRadius"
-	case CountLargeRadius:
-		return "LargeRadius"
-	case CountCoalesce:
-		return "Coalesce"
-	default:
-		return "unknown"
-	}
-}
-
-func (env *Env) count(c Counter) { env.counters[c].Add(1) }
 
 // RunCounts reports how many times each sub-algorithm ran on this Env —
 // useful for understanding where an algorithm's probes went (e.g. one
 // LargeRadius call fans out into Θ(D/log n) SmallRadius calls, each
 // fanning out into K·s ZeroRadius calls).
 func (env *Env) RunCounts() map[string]int64 {
-	out := make(map[string]int64, int(nCounters))
-	for c := Counter(0); c < nCounters; c++ {
-		out[c.String()] = env.counters[c].Load()
+	out := make(map[string]int64, len(kinds))
+	for i, kd := range kinds {
+		out[kd.name] = env.runs[i].Load()
 	}
 	return out
 }

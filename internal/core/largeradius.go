@@ -29,6 +29,15 @@ func (s *VirtualSpace) Probe(pl *probe.Player, j int) uint32 {
 	return uint32(SelectPartial(pl, s.GroupObjs[j], s.Cands[j], s.Bound))
 }
 
+// postHinter is optionally implemented by boards that can presize a
+// topic's posting storage ahead of a known burst of posts (see
+// billboard.Board.HintPosts). Purely a capacity hint — postings and
+// tallies are unchanged — so remote or wrapped boards that don't
+// implement it just grow on demand.
+type postHinter interface {
+	HintPosts(name string, vectors, values int)
+}
+
 // LargeRadius implements Algorithm Large Radius (Fig. 5) for the given
 // players over the object coordinate set objs, with known alpha and
 // distance bound d (intended for d = Ω(log n); the main dispatcher sends
@@ -47,10 +56,7 @@ func LargeRadius(env *Env, players []int, objs []int, alpha float64, d int) []bi
 	if alpha <= 0 || alpha > 1 {
 		panic(fmt.Sprintf("core: LargeRadius alpha %v out of (0,1]", alpha))
 	}
-	env.count(CountLargeRadius)
-	if !env.spanOff("largeradius") {
-		defer env.spanPlayers("largeradius", players, "players", len(players), "objs", len(objs), "alpha", alpha, "d", d)()
-	}
+	defer env.span(kindLargeRadius, players)()
 	tag := env.freshTag("lr")
 	coin := env.Public.Stream(tag, 0)
 	n := len(players)
@@ -150,8 +156,10 @@ func LargeRadius(env *Env, players []int, objs []int, alpha float64, d int) []bi
 		for i, po := range postings {
 			vecs[i] = po.Vec
 		}
-		env.count(CountCoalesce)
+		// Coalesce charges no probes: its span measures an empty group.
+		endCoalesce := env.span(kindCoalesce, nil)
 		b := Coalesce(vecs, coalD, alpha/2)
+		endCoalesce()
 		if len(b) == 0 && len(vecs) > 0 {
 			// Premise failed for this group; keep the most popular raw
 			// vectors (capped) so Step 4 still has candidates.

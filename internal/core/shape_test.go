@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"tellme/internal/prefs"
+	"tellme/internal/telemetry"
 )
 
 func TestZeroRadiusWideMatrix(t *testing.T) {
@@ -98,9 +99,14 @@ func TestZeroRadiusMultiCommunitySimultaneous(t *testing.T) {
 
 func TestRunCounters(t *testing.T) {
 	in := prefs.Planted(256, 256, 0.5, 32, 100)
-	env, _ := newTestEnv(t, in, 101)
-	_ = LargeRadius(env, allPlayers(in.N), seqObjs(in.M), 0.5, 32)
-	counts := env.RunCounts()
+	run := func(reg *telemetry.Registry) map[string]int64 {
+		env, _ := newTestEnv(t, in, 101)
+		env.Telemetry = reg
+		_ = LargeRadius(env, allPlayers(in.N), seqObjs(in.M), 0.5, 32)
+		return env.RunCounts()
+	}
+	reg := telemetry.New()
+	counts := run(reg)
 	if counts["LargeRadius"] != 1 {
 		t.Fatalf("LargeRadius count %d", counts["LargeRadius"])
 	}
@@ -113,19 +119,22 @@ func TestRunCounters(t *testing.T) {
 	if counts["Coalesce"] < 1 {
 		t.Fatal("no Coalesce runs recorded")
 	}
-}
-
-func TestCounterString(t *testing.T) {
-	names := map[Counter]string{
-		CountZeroRadius:  "ZeroRadius",
-		CountSmallRadius: "SmallRadius",
-		CountLargeRadius: "LargeRadius",
-		CountCoalesce:    "Coalesce",
-		Counter(99):      "unknown",
+	// The telemetry calls counters and RunCounts come from the same
+	// span, so they agree for every kind.
+	snap := reg.Snapshot()
+	for _, kd := range kinds {
+		if got := snap.Counters["core."+kd.metric+".calls"]; got != counts[kd.name] {
+			t.Errorf("core.%s.calls = %d, RunCounts[%s] = %d", kd.metric, got, kd.name, counts[kd.name])
+		}
 	}
-	for c, want := range names {
-		if c.String() != want {
-			t.Fatalf("%d.String() = %q", c, c.String())
+	// Counting does not depend on telemetry being attached.
+	plain := run(nil)
+	if len(plain) != len(counts) {
+		t.Fatalf("RunCounts without telemetry = %v, with = %v", plain, counts)
+	}
+	for name, c := range counts {
+		if plain[name] != c {
+			t.Errorf("RunCounts[%s] = %d without telemetry, %d with", name, plain[name], c)
 		}
 	}
 }

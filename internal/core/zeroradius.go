@@ -78,23 +78,6 @@ type zrNode struct {
 
 func (nd *zrNode) leaf() bool { return nd.left == nil }
 
-// postHinter is optionally implemented by boards that can presize a
-// topic's posting storage ahead of a known burst of posts (see
-// billboard.Board.HintPosts). Purely a capacity hint — postings and
-// tallies are unchanged — so remote or wrapped boards that don't
-// implement it just grow on demand.
-type postHinter interface {
-	HintPosts(name string, vectors, values int)
-}
-
-// refPoster is optionally implemented by boards that can resolve a
-// topic once and take posts through the handle, sparing the per-player
-// phase bodies a registry lookup per post (billboard.Board.TopicRef).
-type refPoster interface {
-	TopicRef(name string) billboard.TopicRef
-	PostValuesRef(r billboard.TopicRef, player int, vals []uint32)
-}
-
 // batchPoster is optionally implemented by boards that can take a whole
 // node's posting burst in one call (billboard.Board.PostValuesBatchRef).
 // ZeroRadius posts one value vector per player per node per level, and
@@ -141,10 +124,7 @@ func zeroRadiusFlat(env *Env, players []int, space ObjectSpace, alpha float64) [
 	if alpha <= 0 || alpha > 1 {
 		panic(fmt.Sprintf("core: ZeroRadius alpha %v out of (0,1]", alpha))
 	}
-	env.count(CountZeroRadius)
-	if !env.spanOff("zeroradius") {
-		defer env.spanPlayers("zeroradius", players, "players", len(players), "objs", space.Len(), "alpha", alpha)()
-	}
+	defer env.span(kindZeroRadius, players)()
 	tag := env.freshTag("zr")
 	threshold := env.leafThreshold(alpha)
 
@@ -235,8 +215,6 @@ func zeroRadiusFlat(env *Env, players []int, space ObjectSpace, alpha float64) [
 	// simulation time.
 	phasePlayers := sc.a.Ints(len(players))[:0]
 	batchSpace, batched := space.(BatchObjectSpace)
-	hinter, _ := env.Board.(postHinter)
-	refBoard, _ := env.Board.(refPoster)
 	batcher, _ := env.Board.(batchPoster)
 	for level := len(byLevel) - 1; level >= 0; level-- {
 		env.checkAborted()
@@ -246,15 +224,7 @@ func zeroRadiusFlat(env *Env, players []int, space ObjectSpace, alpha float64) [
 				nodeAt[posOf[p]] = nd
 			}
 			phasePlayers = append(phasePlayers, nd.players...)
-			if hinter != nil && batcher == nil && len(nd.players) > 0 {
-				// Every player of the node posts exactly one value
-				// vector to its topic in the phase below. (The batched
-				// path presizes exactly on its own.)
-				hinter.HintPosts(nd.topic, 0, len(nd.players))
-			}
-			if refBoard != nil {
-				nd.ref = refBoard.TopicRef(nd.topic)
-			} else if batcher != nil {
+			if batcher != nil {
 				nd.ref = batcher.TopicRef(nd.topic)
 			}
 			if !nd.leaf() {
@@ -285,11 +255,7 @@ func zeroRadiusFlat(env *Env, players []int, space ObjectSpace, alpha float64) [
 					row[obj] = vals[j]
 				}
 				if batcher == nil {
-					if refBoard != nil {
-						refBoard.PostValuesRef(nd.ref, p, vals)
-					} else {
-						env.Board.PostValues(nd.topic, p, vals)
-					}
+					env.Board.PostValues(nd.topic, p, vals)
 				}
 				childAt[i] = nd
 				return
@@ -308,11 +274,7 @@ func zeroRadiusFlat(env *Env, players []int, space ObjectSpace, alpha float64) [
 				vals[j] = row[obj]
 			}
 			if batcher == nil {
-				if refBoard != nil {
-					refBoard.PostValuesRef(nd.ref, p, vals)
-				} else {
-					env.Board.PostValues(nd.topic, p, vals)
-				}
+				env.Board.PostValues(nd.topic, p, vals)
 			}
 		})
 		if batcher != nil {

@@ -215,7 +215,7 @@ func (e *Engine) TotalInvoked() int64 {
 }
 
 // Snapshot copies the per-player charged counters into dst (allocating
-// if dst is short). The simulator diffs snapshots to compute the round
+// if dst is short); MaxDelta diffs against it to compute the round
 // count of a phase.
 func (e *Engine) Snapshot(dst []int64) []int64 {
 	if cap(dst) < len(e.charged) {

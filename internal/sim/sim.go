@@ -8,8 +8,7 @@
 // player's actions in the same phase, only on postings from completed
 // phases, so the phase is embarrassingly parallel. The parallel round
 // cost of a phase is the maximum number of probes any single player
-// charged during it, which the Clock accumulates from probe-engine
-// snapshots.
+// charged during it.
 //
 // # Cancellation and failure
 //
@@ -31,10 +30,8 @@ import (
 	"runtime/debug"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"tellme/internal/probe"
-	"tellme/internal/telemetry"
 )
 
 // PhaseRunner executes one per-player function per phase. Runner is the
@@ -266,87 +263,3 @@ func (r *Runner) parallel(ctx context.Context, n int, g func(i int)) error {
 	wg.Wait()
 	return phaseError(ctx, firstPanic.Load())
 }
-
-// Clock converts phases into the paper's parallel round count. Each
-// Run() executes one phase and charges it max-probes-per-player rounds,
-// and records the phase's wall-clock time alongside.
-type Clock struct {
-	Runner *Runner
-	Engine *probe.Engine
-	// Telemetry, when non-nil, receives per-phase wall time and round
-	// counts: a "sim.phase.ns" histogram over all phases plus
-	// "sim.phase.<name>.{calls,rounds,ns}" counters per phase name.
-	Telemetry *telemetry.Registry
-
-	rounds int64
-	phases []PhaseStat
-	snap   []int64
-
-	// Cached instruments, resolved on first use per phase name: Run
-	// executes thousands of phases, so the registry's mutex-guarded
-	// get-or-create (and the name concatenation) must not happen per
-	// phase. Unsynchronized like the rest of the Clock state — a Clock
-	// is owned by one coordinator goroutine.
-	telHist   *telemetry.Histogram
-	telPhases map[string]phaseTel
-}
-
-// phaseTel is one phase name's resolved counters.
-type phaseTel struct {
-	calls, rounds, ns *telemetry.Counter
-}
-
-// PhaseStat records the cost of one executed phase.
-type PhaseStat struct {
-	Name    string
-	Rounds  int64 // max probes by a single player in the phase
-	Players int
-	// Elapsed is the phase's wall-clock duration (simulator time, not a
-	// model cost — rounds is the paper's cost measure).
-	Elapsed time.Duration
-}
-
-// NewClock builds a Clock over a runner and engine.
-func NewClock(r *Runner, e *probe.Engine) *Clock {
-	return &Clock{Runner: r, Engine: e}
-}
-
-// Run executes f(p) for every p in players as one phase and accounts its
-// round cost. A cancelled or panicking phase is still accounted (the
-// probes it charged before aborting are real rounds) and its error is
-// returned.
-func (c *Clock) Run(ctx context.Context, name string, players []int, f func(p int)) error {
-	c.snap = c.Engine.Snapshot(c.snap)
-	start := time.Now()
-	err := c.Runner.Phase(ctx, players, f)
-	elapsed := time.Since(start)
-	d := c.Engine.MaxDelta(c.snap)
-	c.rounds += d
-	c.phases = append(c.phases, PhaseStat{Name: name, Rounds: d, Players: len(players), Elapsed: elapsed})
-	if tel := c.Telemetry; tel != nil {
-		if c.telHist == nil {
-			c.telHist = tel.Histogram("sim.phase.ns", telemetry.LatencyBuckets())
-			c.telPhases = make(map[string]phaseTel)
-		}
-		pt, ok := c.telPhases[name]
-		if !ok {
-			pt = phaseTel{
-				calls:  tel.Counter("sim.phase." + name + ".calls"),
-				rounds: tel.Counter("sim.phase." + name + ".rounds"),
-				ns:     tel.Counter("sim.phase." + name + ".ns"),
-			}
-			c.telPhases[name] = pt
-		}
-		c.telHist.Observe(elapsed.Nanoseconds())
-		pt.calls.Inc()
-		pt.rounds.Add(d)
-		pt.ns.Add(elapsed.Nanoseconds())
-	}
-	return err
-}
-
-// Rounds returns the accumulated parallel round count.
-func (c *Clock) Rounds() int64 { return c.rounds }
-
-// Phases returns per-phase statistics in execution order.
-func (c *Clock) Phases() []PhaseStat { return c.phases }

@@ -48,7 +48,6 @@ import (
 	"tellme/internal/rng"
 	"tellme/internal/sim"
 	"tellme/internal/telemetry"
-	"tellme/internal/trace"
 	"tellme/internal/wire"
 )
 
@@ -158,10 +157,6 @@ type Options struct {
 	// fault-injecting transport) or any other boardclient.Interface
 	// implementation is injected into a run.
 	Board boardclient.Interface
-	// TraceCapacity, if positive, enables structured tracing: the run
-	// retains up to this many sub-algorithm span events, returned in
-	// Report.TraceEvents. Tracing never changes algorithm behavior.
-	TraceCapacity int
 	// Telemetry, if non-nil, receives runtime counters from the whole
 	// stack during the run: billboard cache hits and posts (when Run
 	// creates the in-memory board), probe charges per policy,
@@ -205,9 +200,6 @@ func (e *RunError) Unwrap() error { return e.Cause }
 // Timeout reports whether the run died to a blown deadline.
 func (e *RunError) Timeout() bool { return errors.Is(e.Cause, context.DeadlineExceeded) }
 
-// TraceEvent is one recorded observability event; see Options.TraceCapacity.
-type TraceEvent = trace.Event
-
 // PhaseInfo reports anytime progress.
 type PhaseInfo struct {
 	Phase     int
@@ -240,11 +232,9 @@ type Report struct {
 	// community of the instance (empty if the instance has none).
 	Communities []CommunityReport
 	// SubAlgorithmRuns counts nested invocations of each sub-algorithm
-	// (ZeroRadius, SmallRadius, LargeRadius, Coalesce) during the run.
+	// (ZeroRadius, SmallRadius, LargeRadius, Coalesce, Refresh,
+	// UnknownD) during the run.
 	SubAlgorithmRuns map[string]int64
-	// TraceEvents holds the retained span events when tracing was
-	// enabled via Options.TraceCapacity (nil otherwise).
-	TraceEvents []TraceEvent
 }
 
 // CommunityReport measures output quality over one planted community.
@@ -362,9 +352,6 @@ func RunContext(ctx context.Context, in *Instance, opt Options) (*Report, error)
 	runner := sim.NewRunner(opt.Parallelism)
 	env := core.NewEnv(engine, runner, src.Child("public", 0), cfg)
 	env.Telemetry = opt.Telemetry
-	if opt.TraceCapacity > 0 {
-		env.Trace = trace.New(opt.TraceCapacity)
-	}
 
 	start := time.Now()
 	outputs, runErr := execute(env, in, opt, cfg)
@@ -381,9 +368,6 @@ func RunContext(ctx context.Context, in *Instance, opt Options) (*Report, error)
 		SubAlgorithmRuns: env.RunCounts(),
 	}
 	_, rep.CompletedEpochs = env.Checkpoint()
-	if env.Trace != nil {
-		rep.TraceEvents = env.Trace.Events()
-	}
 	if fullOutputs(outputs, in.M) {
 		rep.Communities = gradeCommunities(in, outputs)
 	}

@@ -197,46 +197,6 @@ func TestMultiCommunityInstanceReports(t *testing.T) {
 	}
 }
 
-func TestRunTracing(t *testing.T) {
-	in := PlantedInstance(128, 128, 0.5, 16, 30)
-	rep, err := Run(in, Options{
-		Algorithm:     AlgoLarge,
-		Alpha:         0.5,
-		D:             16,
-		Seed:          31,
-		TraceCapacity: 4096,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.TraceEvents) == 0 {
-		t.Fatal("tracing enabled but no events recorded")
-	}
-	kinds := map[string]int{}
-	for _, e := range rep.TraceEvents {
-		kinds[e.Kind]++
-	}
-	if kinds["largeradius.start"] != 1 || kinds["largeradius.end"] != 1 {
-		t.Fatalf("largeradius spans: %v", kinds)
-	}
-	if kinds["zeroradius.start"] == 0 || kinds["smallradius.start"] == 0 {
-		t.Fatalf("nested spans missing: %v", kinds)
-	}
-	// tracing must not change results
-	plain, err := Run(in, Options{Algorithm: AlgoLarge, Alpha: 0.5, D: 16, Seed: 31})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for p := 0; p < in.N; p++ {
-		if !plain.Outputs[p].Equal(rep.Outputs[p]) {
-			t.Fatalf("tracing changed outputs at player %d", p)
-		}
-	}
-	if plain.TraceEvents != nil {
-		t.Fatal("trace events present without tracing")
-	}
-}
-
 func TestRunBaselineValidation(t *testing.T) {
 	in := PlantedInstance(16, 16, 0.5, 2, 60)
 	if _, err := RunBaseline(nil, BaselineOptions{Baseline: BaselineSolo}); err == nil {
