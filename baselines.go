@@ -111,15 +111,6 @@ func RunBaseline(in *Instance, opt BaselineOptions) (*Report, error) {
 		MeanProbes:  st.Mean,
 		Duration:    elapsed,
 	}
-	for _, c := range in.Communities {
-		diam := in.Diameter(c.Members)
-		rep.Communities = append(rep.Communities, CommunityReport{
-			Size:        len(c.Members),
-			Diameter:    diam,
-			Discrepancy: metrics.Discrepancy(in, c.Members, outputs),
-			Stretch:     metrics.Stretch(in, c.Members, outputs),
-			MeanErr:     metrics.MeanErr(in, c.Members, outputs),
-		})
-	}
+	rep.Communities = gradeCommunities(in, outputs)
 	return rep, nil
 }

@@ -28,15 +28,15 @@ type boardTarget struct {
 }
 
 // resolveTarget builds the board plane's target from the spec
-// progression shared with tellmed and the batch facade — nothing (the
-// in-process board), one URL (a single netboard server), a
-// comma-separated list (a consistent-hashed cluster) — plus the
-// loadgen-only localShards mode, which spawns that many loopback
+// progression netboard.Open resolves for tellmed and the batch facade
+// too — nothing (the in-process board), one URL (a single netboard
+// server), a comma-separated list (a consistent-hashed cluster) — plus
+// the loadgen-only localShards mode, which spawns that many loopback
 // netboard servers in-process and drives them as a cluster over real
 // HTTP: the full wire protocol and connection pool under load, no
 // external processes to babysit. codec selects the client-side wire
-// encoding of the remote targets ("json" or "binary"; moot for the
-// in-process board).
+// encoding of the remote targets ("json" or "binary"; checked but moot
+// for the in-process board).
 func resolveTarget(spec string, localShards, players, m int, codec string, reg *telemetry.Registry) (*boardTarget, error) {
 	spec = strings.TrimSpace(spec)
 	if localShards > 0 {
@@ -45,25 +45,19 @@ func resolveTarget(spec string, localShards, players, m int, codec string, reg *
 		}
 		return spawnLocalShards(localShards, players, m, codec, reg)
 	}
-	switch {
-	case spec == "":
-		mem := billboard.New(players, m)
-		mem.SetTelemetry(reg)
-		return &boardTarget{board: mem, kind: "inproc", shards: 1}, nil
-	case strings.Contains(spec, ","):
-		shards := strings.Split(spec, ",")
-		cluster, err := netboard.NewCluster(netboard.ClusterConfig{
-			Shards: shards,
-			Client: netboard.Config{Telemetry: reg, Retries: 2, Codec: codec},
-		})
-		if err != nil {
-			return nil, fmt.Errorf("loadgen: board %q: %w", spec, err)
-		}
-		return &boardTarget{board: cluster, kind: fmt.Sprintf("cluster(%d)", len(shards)), shards: len(shards)}, nil
-	default:
-		c := netboard.NewClientWithConfig(spec, netboard.Config{Telemetry: reg, Retries: 2, Codec: codec})
-		return &boardTarget{board: c, kind: "server", shards: 1}, nil
+	board, err := netboard.Open(spec, players, m, netboard.Config{Telemetry: reg, Retries: 2, Codec: codec})
+	if err != nil {
+		return nil, fmt.Errorf("loadgen: board %q: %w", spec, err)
 	}
+	t := &boardTarget{board: board, kind: "inproc", shards: 1}
+	switch b := board.(type) {
+	case *netboard.Client:
+		t.kind = "server"
+	case *netboard.Cluster:
+		t.shards = len(b.Shards())
+		t.kind = fmt.Sprintf("cluster(%d)", t.shards)
+	}
+	return t, nil
 }
 
 // spawnLocalShards starts n loopback netboard servers and returns a

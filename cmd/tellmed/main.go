@@ -32,21 +32,16 @@ import (
 	"context"
 	"errors"
 	"flag"
-	"fmt"
 	"log"
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
-	"tellme/internal/billboard"
-	"tellme/internal/boardclient"
 	"tellme/internal/netboard"
 	"tellme/internal/serve"
 	"tellme/internal/telemetry"
-	"tellme/internal/wire"
 )
 
 func main() {
@@ -56,7 +51,7 @@ func main() {
 		capacity   = flag.Int("capacity", 256, "maximum concurrently registered players")
 		alpha      = flag.Float64("alpha", 0.25, "assumed community fraction (0,1]")
 		boardSpec  = flag.String("board", "", "remote billboard: one base URL, or a comma-separated shard list (empty = in-process board)")
-		boardCodec = flag.String("codec", "json", "wire codec for the remote billboard: json or binary (binary falls back to json against servers that refuse it)")
+		boardCodec = flag.String("codec", "json", "wire codec for the remote billboard: json or binary")
 		epochEvery = flag.Duration("epoch-every", 5*time.Second, "epoch interval (epochs run earlier when churn is pending)")
 		epochT     = flag.Duration("epoch-timeout", 0, "per-epoch wall-clock bound (0 = none); an epoch exceeding it aborts and the previous snapshot keeps serving")
 		deadline   = flag.Duration("deadline", serve.DefaultRecommendDeadline, "default per-request recommend deadline")
@@ -70,12 +65,9 @@ func main() {
 	flag.Parse()
 
 	reg := telemetry.New()
-	if _, err := wire.ByName(*boardCodec); err != nil {
-		log.Fatal(err)
-	}
-	board, err := resolveBoard(*boardSpec, *capacity, *m, *boardCodec, reg)
+	board, err := netboard.Open(*boardSpec, *capacity, *m, netboard.Config{Telemetry: reg, Codec: *boardCodec})
 	if err != nil {
-		log.Fatal(err)
+		log.Fatalf("tellmed: board %q: %v", *boardSpec, err)
 	}
 	engine, err := serve.New(serve.Config{
 		M:             *m,
@@ -134,29 +126,4 @@ func main() {
 	}
 	<-done
 	log.Printf("tellmed exited cleanly (%d epochs completed)", engine.CompletedEpochs())
-}
-
-// resolveBoard builds the billboard the epochs run against: the
-// in-process board for an empty spec, a single netboard client for one
-// URL, a consistent-hashed cluster for a comma-separated list — the
-// same resolution the batch facade's Options.BoardURL performs.
-func resolveBoard(spec string, capacity, m int, codec string, reg *telemetry.Registry) (boardclient.Interface, error) {
-	spec = strings.TrimSpace(spec)
-	switch {
-	case spec == "":
-		mem := billboard.New(capacity, m)
-		mem.SetTelemetry(reg)
-		return mem, nil
-	case strings.Contains(spec, ","):
-		cluster, err := netboard.NewCluster(netboard.ClusterConfig{
-			Shards: strings.Split(spec, ","),
-			Client: netboard.Config{Telemetry: reg, Codec: codec},
-		})
-		if err != nil {
-			return nil, fmt.Errorf("tellmed: board %q: %w", spec, err)
-		}
-		return cluster, nil
-	default:
-		return netboard.NewClientWithConfig(spec, netboard.Config{Telemetry: reg, Codec: codec}), nil
-	}
 }

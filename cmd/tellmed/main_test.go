@@ -17,47 +17,10 @@ import (
 	"tellme/internal/telemetry"
 )
 
-func TestResolveBoardInProcess(t *testing.T) {
-	b, err := resolveBoard("", 8, 32, "json", telemetry.New())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := b.(*billboard.Board); !ok {
-		t.Fatalf("empty spec resolved to %T, want *billboard.Board", b)
-	}
-}
-
-func TestResolveBoardSingleURL(t *testing.T) {
-	b, err := resolveBoard(" http://localhost:7070 ", 8, 32, "json", telemetry.New())
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, ok := b.(*netboard.Client)
-	if !ok {
-		t.Fatalf("single URL resolved to %T, want *netboard.Client", b)
-	}
-	if c.BaseURL != "http://localhost:7070" {
-		t.Fatalf("BaseURL = %q (spec must be trimmed)", c.BaseURL)
-	}
-}
-
-func TestResolveBoardCluster(t *testing.T) {
-	b, err := resolveBoard("http://a:1,http://b:2", 8, 32, "json", telemetry.New())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := b.(*netboard.Cluster); !ok {
-		t.Fatalf("shard list resolved to %T, want *netboard.Cluster", b)
-	}
-	if _, err := resolveBoard("http://a:1,", 8, 32, "json", telemetry.New()); err == nil {
-		t.Fatal("empty shard in list must be rejected")
-	}
-}
-
 // TestDaemonAgainstClusterBoard is the end-to-end smoke for the wiring
-// main performs: a two-shard billboard cluster, a serving engine
-// resolved from the comma-separated spec, and the HTTP API on top —
-// join, recommend from a completed epoch, leave.
+// main performs: a two-shard billboard cluster, a serving engine over
+// the board netboard.Open resolves from the comma-separated spec, and
+// the HTTP API on top — join, recommend from a completed epoch, leave.
 func TestDaemonAgainstClusterBoard(t *testing.T) {
 	const m = 32
 	var backends []*httptest.Server
@@ -69,7 +32,7 @@ func TestDaemonAgainstClusterBoard(t *testing.T) {
 		urls = append(urls, bs.URL)
 	}
 	reg := telemetry.New()
-	board, err := resolveBoard(strings.Join(urls, ","), 8, m, "binary", reg)
+	board, err := netboard.Open(strings.Join(urls, ","), 8, m, netboard.Config{Telemetry: reg, Codec: "binary"})
 	if err != nil {
 		t.Fatal(err)
 	}

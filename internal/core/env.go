@@ -164,6 +164,25 @@ func (a *Abort) Error() string { return fmt.Sprintf("core: run aborted: %v", a.E
 // Unwrap exposes the failure to errors.Is/As.
 func (a *Abort) Unwrap() error { return a.Err }
 
+// RecoveredErr maps a value recovered from a run's panic to the error
+// it stands for: an *Abort's failure, the cause of a *probe.Canceled
+// (a cancellation observed outside a phase body, by coordinator code
+// probing directly, arrives unwrapped), any other error as it is, and
+// anything else wrapped in a *sim.PanicError. The batch facade and the
+// serving engine both recover runs through it.
+func RecoveredErr(rec any) error {
+	switch v := rec.(type) {
+	case *Abort:
+		return v.Err
+	case *probe.Canceled:
+		return v.Cause
+	case error:
+		return v
+	default:
+		return &sim.PanicError{Value: rec}
+	}
+}
+
 // phase runs one fallible phase over the Env's context and unwinds with
 // *Abort when it fails. All algorithm phase bodies go through this, so
 // cancellation and player panics surface at the run boundary no matter

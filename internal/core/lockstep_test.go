@@ -30,9 +30,9 @@ type accountingLockstep struct {
 }
 
 func (r *accountingLockstep) Phase(ctx context.Context, players []int, f func(p int)) error {
-	r.snap = r.engine.Snapshot(r.snap)
+	r.snap = chargedSnapshot(r.engine, r.snap)
 	err := r.inner.Phase(ctx, players, f)
-	r.rounds += r.engine.MaxDelta(r.snap)
+	r.rounds += maxChargedDelta(r.engine, r.snap)
 	return err
 }
 

@@ -39,9 +39,9 @@ func TestRefreshCheaperThanRerun(t *testing.T) {
 	const n, k = 256, 4
 	env2, stale, in2 := refreshSetup(t, n, k, 81)
 	red, maxP := RefreshBudget(k)
-	snap := env2.Engine.Snapshot(nil)
+	snap := chargedSnapshot(env2.Engine, nil)
 	out := Refresh(env2, allPlayers(n), seqObjs(n), stale, 0.5, red, maxP)
-	refreshCost := env2.Engine.MaxDelta(snap)
+	refreshCost := maxChargedDelta(env2.Engine, snap)
 
 	// fresh re-run on the same drifted world
 	env3, _ := newTestEnv(t, in2, 82)
@@ -66,9 +66,9 @@ func TestRefreshCheaperThanRerun(t *testing.T) {
 func TestRefreshNoDriftIsAlmostFree(t *testing.T) {
 	const n = 128
 	env2, stale, in2 := refreshSetup(t, n, 0, 83)
-	snap := env2.Engine.Snapshot(nil)
+	snap := chargedSnapshot(env2.Engine, nil)
 	out := Refresh(env2, allPlayers(n), seqObjs(n), stale, 0.5, 2, 32)
-	cost := env2.Engine.MaxDelta(snap)
+	cost := maxChargedDelta(env2.Engine, snap)
 	// cost ≈ redundancy·m/(αn) = 2·2 = 4: holders split the
 	// re-verification and there are no patches to verify.
 	if cost > 8 {
@@ -87,7 +87,7 @@ func TestRefreshOutsidersUntouchedAndUncharged(t *testing.T) {
 	const n, k = 128, 4
 	env2, stale, in2 := refreshSetup(t, n, k, 84)
 	red, maxP := RefreshBudget(k)
-	snap := env2.Engine.Snapshot(nil)
+	snap := chargedSnapshot(env2.Engine, nil)
 	out := Refresh(env2, allPlayers(n), seqObjs(n), stale, 0.5, red, maxP)
 	inComm := map[int]bool{}
 	for _, p := range in2.Communities[0].Members {

@@ -39,6 +39,27 @@ func part(t testing.TB, s string) bitvec.Partial {
 	return p
 }
 
+// chargedSnapshot copies every player's charged probe count into dst,
+// reusing its capacity.
+func chargedSnapshot(e *probe.Engine, dst []int64) []int64 {
+	dst = dst[:0]
+	for p := 0; p < e.Instance().N; p++ {
+		dst = append(dst, e.Charged(p))
+	}
+	return dst
+}
+
+// maxChargedDelta returns the largest per-player growth of the charged
+// count since snap was taken: the parallel round count of what ran in
+// between.
+func maxChargedDelta(e *probe.Engine, snap []int64) int64 {
+	var worst int64
+	for p, c := range snap {
+		worst = max(worst, e.Charged(p)-c)
+	}
+	return worst
+}
+
 // seqObjs returns [0, k).
 func seqObjs(k int) []int { return ints.Iota(k) }
 

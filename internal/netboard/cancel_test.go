@@ -26,13 +26,14 @@ func TestBackoffSkippedWhenContextCancelled(t *testing.T) {
 	}))
 	defer srv.Close()
 
-	c := NewClient(srv.URL)
-	c.Retries = 5
-	c.RetryBackoff = time.Hour // a single un-cut wait would hang the test
-	var slept int
-	c.sleep = func(time.Duration) { slept++ }
 	var got error
-	c.OnError = func(err error) { got = err }
+	c := NewClientWithConfig(srv.URL, Config{
+		Retries:      5,
+		RetryBackoff: time.Hour, // a single un-cut wait would hang the test
+		OnError:      func(err error) { got = err },
+	})
+	var slept int
+	c.core.sleep = func(time.Duration) { slept++ }
 
 	b := c.BindContext(ctx)
 	b.PostProbe(0, 0, 1)
@@ -53,11 +54,12 @@ func TestBackoffSkippedWhenContextCancelled(t *testing.T) {
 // context interrupts an in-progress timer wait, so a client configured
 // with a long backoff against a dead server returns promptly.
 func TestBackoffRealTimerCutShort(t *testing.T) {
-	c := NewClient("http://127.0.0.1:1") // nothing listening
-	c.Retries = 3
-	c.RetryBackoff = 5 * time.Second
 	var got error
-	c.OnError = func(err error) { got = err }
+	c := NewClientWithConfig("http://127.0.0.1:1", Config{ // nothing listening
+		Retries:      3,
+		RetryBackoff: 5 * time.Second,
+		OnError:      func(err error) { got = err },
+	})
 
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
@@ -82,7 +84,7 @@ func TestBindContextSharesState(t *testing.T) {
 	board := billboard.New(4, 8)
 	srv := httptest.NewServer(NewServer(board))
 	defer srv.Close()
-	c := NewClient(srv.URL)
+	c := NewClientWithConfig(srv.URL, Config{OnError: func(error) {}})
 
 	if got := c.BindContext(context.Background()); got != boardclient.Interface(c) {
 		t.Fatal("Background context should bind to the client itself")
@@ -110,8 +112,6 @@ func TestBindContextSharesState(t *testing.T) {
 
 	// So is the degraded-mode record: a failure through either one shows
 	// through both.
-	c.OnError = func(error) {}
-	b = c.BindContext(ctx)
 	b.Postings("") // rejected: empty topic
 	if c.Err() == nil || c.Failures() != 1 {
 		t.Fatalf("failure through the bound copy not recorded on the original: err=%v failures=%d", c.Err(), c.Failures())

@@ -27,8 +27,16 @@ import (
 // Client implements boardclient.Interface against a remote Server.
 //
 // billboard.Interface is error-free (the model treats the billboard as
-// reliable shared memory), so transport failures are routed to OnError,
-// which defaults to panicking with a *TransportError.
+// reliable shared memory), so transport failures are routed to
+// Config.OnError, which defaults to panicking with a *TransportError.
+// If OnError returns instead of panicking, the client enters degraded
+// mode: the failed call returns the zero value of its type
+// (LookupProbe → (0,false), Postings → nil, ProbeCount → 0, ...), the
+// error is recorded, and Err/Failures report it. Degraded zero values
+// are indistinguishable from an empty board at the call site, so any
+// caller installing a non-panicking OnError MUST check Err before
+// trusting results — a dead transport must not masquerade as an empty
+// billboard.
 //
 // Every mutating request carries a client-generated idempotency key
 // (HeaderRequestID) that is reused verbatim across retries, so a retry
@@ -43,80 +51,37 @@ import (
 //
 // A Client from NewClient runs its requests uncancellable
 // (context.Background semantics). BindContext returns a copy of the
-// client carrying another context: the copy shares every piece of
-// mutable state with the original, and its every request — including
-// retry backoff sleeps — aborts when that context is cancelled. The
-// probe engine binds the run context this way, so a deadline cuts
-// through in-flight HTTP calls instead of waiting out the full retry
-// schedule. Construct clients with NewClient or NewClientWithConfig;
-// the zero Client has no shared state and is not usable.
+// client carrying another context: the copy shares its configuration
+// and every piece of mutable state with the original, and its every
+// request — including retry backoff sleeps — aborts when that context
+// is cancelled. The probe engine binds the run context this way, so a
+// deadline cuts through in-flight HTTP calls instead of waiting out the
+// full retry schedule. Construct clients with NewClient or
+// NewClientWithConfig; the zero Client is not usable.
 type Client struct {
-	// BaseURL is the server's root, e.g. "http://localhost:7070".
-	BaseURL string
-	// HTTPClient defaults to http.DefaultClient.
-	HTTPClient *http.Client
-	// OnError handles transport/protocol failures after retries are
-	// exhausted; the default panics. If OnError returns instead of
-	// panicking, the client enters degraded mode: the failed call
-	// returns the zero value of its type (LookupProbe → (0,false),
-	// Postings → nil, ProbeCount → 0, ...), the error is recorded, and
-	// Err/Failures report it. Degraded zero values are indistinguishable
-	// from an empty board at the call site, so any caller installing a
-	// non-panicking OnError MUST check Err before trusting results — a
-	// dead transport must not masquerade as an empty billboard.
-	OnError func(error)
-	// Retries is the number of times a failed request is retried with
-	// jittered linear backoff before OnError fires (0 = no retries).
-	// 4xx responses are not retried — they are protocol errors, not
-	// transient failures.
-	Retries int
-	// RetryBackoff is the per-attempt backoff unit (default 50ms);
-	// attempt i waits i·RetryBackoff scaled by a uniform ±50% jitter,
-	// so a fleet of clients that failed together does not retry in
-	// lockstep and re-stampede a recovering server.
-	RetryBackoff time.Duration
-	// JitterSeed seeds the backoff jitter stream (0 = a random seed).
-	// Distinct clients should use distinct seeds (the default); a fixed
-	// seed makes a single client's backoff sequence reproducible.
-	JitterSeed uint64
-	// Telemetry, when non-nil, records per-endpoint request counts
-	// ("<prefix>.requests.<path>", one per HTTP attempt), request
-	// latency histograms ("<prefix>.latency_ns.<path>") and the
-	// "<prefix>.retries" counter, where <prefix> is TelemetryPrefix.
-	// Nil costs nothing.
-	Telemetry *telemetry.Registry
-	// TelemetryPrefix keys the telemetry instruments (empty =
-	// DefaultTelemetryPrefix). A Cluster sets a per-shard prefix so
-	// every instrument comes out keyed by shard.
-	TelemetryPrefix string
-	// Codec names the request/reply encoding: "json" (also the empty
-	// string, the default) or "binary" (internal/wire's length-prefixed
-	// packed codec). Binary is advisory, not mandatory: when a server
-	// rejects a binary body with a 4xx the request is re-sent as JSON
-	// under the same idempotency key, and a successful fallback pins
-	// the client to JSON from then on (binaryOff) — so a
-	// binary-configured client interoperates with JSON-pinned or
-	// pre-codec servers, it is just slower against them.
-	Codec string
-
-	// sleep stubs the backoff wait for tests. The stub is only invoked
-	// with a live context; a cancelled context skips the wait entirely,
-	// which is what the cancellation tests assert.
-	sleep func(time.Duration)
-
 	// ctx governs every request this client issues (see BindContext).
 	ctx context.Context
-	// core is the mutable state shared by the client and every copy
-	// BindContext makes of it.
+	// core is the configuration and mutable state shared by the client
+	// and every copy BindContext makes of it.
 	core *clientCore
 }
 
 // clientCore is the state behind a Client that its context-bound
 // copies share.
 type clientCore struct {
+	// baseURL is the server's root, e.g. "http://localhost:7070".
+	baseURL string
+	// cfg is the normalized configuration, with HTTPClient and
+	// TelemetryPrefix resolved to their defaults when unset.
+	cfg Config
+	// sleep stubs the backoff wait for tests. The stub is only invoked
+	// with a live context; a cancelled context skips the wait entirely,
+	// which is what the cancellation tests assert.
+	sleep func(time.Duration)
+
 	// jitter is the lazily seeded backoff jitter stream (see
-	// JitterSeed), guarded by jitterMu: one client may retry from many
-	// player goroutines at once.
+	// Config.JitterSeed), guarded by jitterMu: one client may retry from
+	// many player goroutines at once.
 	jitterMu sync.Mutex
 	jitter   *mrand.Rand
 
@@ -130,11 +95,6 @@ type clientCore struct {
 	errMu    sync.Mutex
 	firstErr error
 	failures atomic.Int64
-
-	// binaryOff latches when a binary body was rejected with a 4xx and
-	// its JSON resend succeeded: the server does not speak our binary
-	// codec, so stop offering it (see Codec).
-	binaryOff atomic.Bool
 
 	// Connection-accounting instruments (lazily resolved once; nil when
 	// telemetry is off). See traceContext.
@@ -203,12 +163,11 @@ func NewClient(baseURL string) *Client {
 }
 
 // BindContext implements boardclient.ContextBinder: the returned copy
-// of c shares all its state (request ids, snapshot cache, degraded-mode
-// record, codec latch) but runs every request under ctx — in-flight
-// HTTP calls are aborted and backoff sleeps return early when ctx is
-// cancelled. A context that can never be cancelled binds to c itself
-// (or, when c is itself bound, to an uncancellable copy). The copy
-// takes c's configuration fields as they are at the call.
+// of c shares all its state (configuration, request ids, snapshot
+// cache, degraded-mode record) but runs every request under ctx —
+// in-flight HTTP calls are aborted and backoff sleeps return early when
+// ctx is cancelled. A context that can never be cancelled binds to c
+// itself (or, when c is itself bound, to an uncancellable copy).
 func (c *Client) BindContext(ctx context.Context) boardclient.Interface {
 	if ctx == nil || ctx.Done() == nil {
 		if c.ctx.Done() == nil {
@@ -216,14 +175,7 @@ func (c *Client) BindContext(ctx context.Context) boardclient.Interface {
 		}
 		ctx = context.Background()
 	}
-	return c.withContext(ctx)
-}
-
-// withContext returns a copy of c that issues its requests under ctx.
-func (c *Client) withContext(ctx context.Context) *Client {
-	b := *c
-	b.ctx = ctx
-	return &b
+	return &Client{ctx: ctx, core: c.core}
 }
 
 // Err returns the first transport/protocol error the client swallowed
@@ -248,18 +200,11 @@ func (c *Client) fail(err error) {
 		c.core.firstErr = terr
 	}
 	c.core.errMu.Unlock()
-	if c.OnError != nil {
-		c.OnError(terr)
+	if onError := c.core.cfg.OnError; onError != nil {
+		onError(terr)
 		return
 	}
 	panic(terr)
-}
-
-func (c *Client) httpc() *http.Client {
-	if c.HTTPClient != nil {
-		return c.HTTPClient
-	}
-	return http.DefaultClient
 }
 
 // backoff waits before retry attempt i (1-based): i·RetryBackoff scaled
@@ -272,14 +217,10 @@ func (c *Client) httpc() *http.Client {
 // the cancellation cause so the retry loop stops instead of issuing
 // doomed attempts.
 func (c *Client) backoff(i int) error {
-	unit := c.RetryBackoff
-	if unit <= 0 {
-		unit = 50 * time.Millisecond
-	}
 	core := c.core
 	core.jitterMu.Lock()
 	if core.jitter == nil {
-		seed := c.JitterSeed
+		seed := core.cfg.JitterSeed
 		for seed == 0 {
 			seed = mrand.Uint64()
 		}
@@ -287,8 +228,8 @@ func (c *Client) backoff(i int) error {
 	}
 	f := 0.5 + core.jitter.Float64()
 	core.jitterMu.Unlock()
-	d := time.Duration(float64(i) * float64(unit) * f)
-	c.Telemetry.Counter(c.telemetryPrefix() + ".retries").Inc()
+	d := time.Duration(float64(i) * float64(core.cfg.RetryBackoff) * f)
+	core.cfg.Telemetry.Counter(core.cfg.TelemetryPrefix + ".retries").Inc()
 	ctx := c.ctx
 	done := ctx.Done()
 	if done != nil {
@@ -298,8 +239,8 @@ func (c *Client) backoff(i int) error {
 		default:
 		}
 	}
-	if c.sleep != nil {
-		c.sleep(d)
+	if core.sleep != nil {
+		core.sleep(d)
 		return nil
 	}
 	if done == nil {
@@ -332,24 +273,17 @@ func (c *Client) requestID() string {
 	return core.idPrefix + "-" + strconv.FormatUint(core.idSeq.Add(1), 10)
 }
 
-// telemetryPrefix resolves the instrument key prefix.
-func (c *Client) telemetryPrefix() string {
-	if c.TelemetryPrefix != "" {
-		return c.TelemetryPrefix
-	}
-	return DefaultTelemetryPrefix
-}
-
 // instruments resolves the per-endpoint request counter and latency
 // histogram for one logical call (nil instruments when telemetry is
 // off). The registry lookup happens once per call, not per attempt.
 func (c *Client) instruments(path string) (reqs *telemetry.Counter, lat *telemetry.Histogram) {
-	if c.Telemetry == nil {
+	reg := c.core.cfg.Telemetry
+	if reg == nil {
 		return nil, nil
 	}
-	prefix := c.telemetryPrefix()
-	return c.Telemetry.Counter(prefix + ".requests." + path),
-		c.Telemetry.Histogram(prefix+".latency_ns."+path, telemetry.LatencyBuckets())
+	prefix := c.core.cfg.TelemetryPrefix
+	return reg.Counter(prefix + ".requests." + path),
+		reg.Histogram(prefix+".latency_ns."+path, telemetry.LatencyBuckets())
 }
 
 // connStallThreshold separates "the pool handed over a connection" from
@@ -365,15 +299,16 @@ const connStallThreshold = time.Millisecond
 // connStallThreshold for a connection — the pool-saturation signal a
 // load run watches to size MaxIdleConnsPerHost. No telemetry, no trace.
 func (c *Client) traceContext() context.Context {
-	if c.Telemetry == nil {
+	core := c.core
+	reg := core.cfg.Telemetry
+	if reg == nil {
 		return c.ctx
 	}
-	core := c.core
 	core.connOnce.Do(func() {
-		prefix := c.telemetryPrefix()
-		core.connDialed = c.Telemetry.Counter(prefix + ".conns.dialed")
-		core.connReused = c.Telemetry.Counter(prefix + ".conns.reused")
-		core.connStalled = c.Telemetry.Counter(prefix + ".conns.stalled")
+		prefix := core.cfg.TelemetryPrefix
+		core.connDialed = reg.Counter(prefix + ".conns.dialed")
+		core.connReused = reg.Counter(prefix + ".conns.reused")
+		core.connStalled = reg.Counter(prefix + ".conns.stalled")
 	})
 	var wait time.Time
 	return httptrace.WithClientTrace(c.ctx, &httptrace.ClientTrace{
@@ -389,23 +324,6 @@ func (c *Client) traceContext() context.Context {
 			}
 		},
 	})
-}
-
-// bodyCodec resolves the codec for the next request: the configured
-// one, unless a failed binary attempt has already pinned the client
-// back to JSON (see Codec).
-func (c *Client) bodyCodec() wire.Codec {
-	if c.Codec == wire.Binary.Name() && !c.core.binaryOff.Load() {
-		return wire.Binary
-	}
-	return wire.JSON
-}
-
-// wireInstruments resolves the per-endpoint wire telemetry — body bytes
-// in/out and encode/decode latency (the zero no-op value when telemetry
-// is off).
-func (c *Client) wireInstruments(path string) wire.Instruments {
-	return wire.NewInstruments(c.Telemetry, c.telemetryPrefix(), path)
 }
 
 // encodeBody returns msg encoded with codec in a slice of its own. It
@@ -427,175 +345,137 @@ func encodeBody(codec wire.Codec, msg wire.Message, ins wire.Instruments) ([]byt
 	return bytes.Clone(data), nil
 }
 
-// post sends a POST and expects 2xx, retrying transient failures. The
-// body is encoded with the client's codec (see encodeBody). When a
-// server answers a binary body with a 4xx, the same logical request is
-// re-encoded as JSON and resent once without consuming a retry — the
-// fail-safe that keeps a binary-configured client working against a
-// JSON-pinned or pre-codec server (a genuine validation error just
-// fails again one request later, harmlessly: same idempotency key).
-// A successful fallback pins the client to JSON for good.
-//
-// All attempts carry the same request id, so a retry of a post the
-// server already applied is acknowledged, not re-applied. Cancelling
-// the client's context aborts the in-flight request and the backoff
-// wait.
-func (c *Client) post(path string, msg wire.Message) {
-	codec := c.bodyCodec()
-	ins := c.wireInstruments(path)
-	body, err := encodeBody(codec, msg, ins)
+// decodeReply reads a 2xx reply body into a pooled buffer and decodes
+// it into out with the codec its Content-Type names. Any binary-family
+// media type decodes with the binary codec, which itself rejects frame
+// versions it does not speak — a future v2 reply fails loudly, not
+// quietly.
+func decodeReply(resp *http.Response, out wire.Message, ins wire.Instruments) error {
+	bufp := wire.GetBuffer()
+	defer wire.PutBuffer(bufp)
+	data, err := wire.ReadAll(*bufp, resp.Body)
+	*bufp = data[:0] // keep the grown capacity for reuse
 	if err != nil {
-		c.fail(err)
-		return
+		return fmt.Errorf("read: %v", err)
 	}
-	id := c.requestID()
-	reqs, lat := c.instruments(path)
-	fellBack := false
-	var lastErr error
-	for attempt := 0; attempt <= c.Retries; attempt++ {
-		if attempt > 0 {
-			if cerr := c.backoff(attempt); cerr != nil {
-				lastErr = fmt.Errorf("POST %s: canceled during retry backoff: %w (last attempt: %v)", path, cerr, lastErr)
-				break
-			}
-		}
-		req, err := http.NewRequestWithContext(c.traceContext(), http.MethodPost, c.BaseURL+path, bytes.NewReader(body))
-		if err != nil {
-			c.fail(err)
-			return
-		}
-		req.Header.Set("Content-Type", codec.ContentType())
-		req.Header.Set(HeaderRequestID, id)
-		req.Header.Set(HeaderProto, ProtoVersion)
-		reqs.Inc()
-		ins.BytesOut.Add(int64(len(body)))
-		start := time.Now()
-		resp, err := c.httpc().Do(req)
-		lat.ObserveSince(start)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		code := resp.StatusCode
-		if code/100 == 2 {
-			got := resp.Header.Get(HeaderProto)
-			resp.Body.Close()
-			if got != ProtoVersion {
-				// Wrong or missing protocol stamp: this is not a tellme
-				// billboard speaking our protocol version. Terminal — a
-				// retry cannot change what the peer speaks.
-				lastErr = &ProtoError{Path: path, Got: got}
-				break
-			}
-			if fellBack {
-				// The JSON resend of a rejected binary body succeeded:
-				// the server does not speak binary, stop offering it.
-				c.core.binaryOff.Store(true)
-			}
-			return
-		}
-		text, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		resp.Body.Close()
-		lastErr = fmt.Errorf("POST %s: %s: %s", path, resp.Status, text)
-		if code/100 == 4 {
-			if codec == wire.Binary && !fellBack {
-				// The server rejected the binary body (415 from a
-				// JSON-pinned server, 400 from a pre-codec one): resend
-				// as JSON under the same request id, on the house.
-				fellBack = true
-				codec = wire.JSON
-				if body, err = encodeBody(codec, msg, ins); err != nil {
-					c.fail(err)
-					return
-				}
-				attempt--
-				continue
-			}
-			break // protocol error; retrying cannot help
-		}
+	ins.BytesIn.Add(int64(len(data)))
+	codec := wire.JSON
+	if wire.ClassifyContentType(resp.Header.Get("Content-Type")) != wire.KindJSON {
+		codec = wire.Binary
 	}
-	c.fail(lastErr)
+	start := time.Now()
+	err = codec.Decode(data, out)
+	ins.DecodeNs.ObserveSince(start)
+	if err != nil {
+		return fmt.Errorf("decode: %v", err)
+	}
+	return nil
 }
 
-// get fetches a reply into out, retrying transient failures. A
-// binary-configured client advertises the binary codec via Accept and
-// decodes the reply by its Content-Type; servers that ignore Accept
-// (pre-codec) or refuse binary (JSON-pinned) simply answer JSON, which
-// always decodes — GETs need no fallback dance. It reports whether it
-// succeeded; on false the client has already failed (and, in degraded
-// mode, out is untouched). Cancelling the client's context aborts the
-// in-flight request and the backoff wait.
+// post sends msg as an idempotent POST to path; see roundTrip.
+func (c *Client) post(path string, msg wire.Message) { c.roundTrip(path, nil, msg, nil) }
+
+// get fetches path?query into out and reports whether it succeeded; see
+// roundTrip.
 func (c *Client) get(path string, query url.Values, out wire.Message) bool {
-	u := c.BaseURL + path
+	return c.roundTrip(path, query, nil, out)
+}
+
+// roundTrip is the client's one request path. A mutation (in != nil)
+// is POSTed, its body encoded once with the configured codec (see
+// encodeBody) and labelled with one request id that every retry
+// reuses, so a retry of a post the server already applied is
+// acknowledged, not re-applied. A read (in == nil) is a GET of
+// path?query that advertises the configured codec via Accept and
+// decodes the reply into out by its Content-Type.
+//
+// Transport errors, 5xx answers, failed body reads and failed decodes
+// are retried with jittered backoff, up to Config.Retries times. A 4xx
+// is a protocol error and is never retried, and a 2xx without the
+// expected Tellme-Proto stamp is a terminal *ProtoError. Cancelling
+// the client's context aborts the in-flight request and cuts the
+// backoff short, naming the cause. roundTrip reports whether the
+// request succeeded; on false the client has already failed (and, in
+// degraded mode, out is untouched).
+func (c *Client) roundTrip(path string, query url.Values, in, out wire.Message) bool {
+	core := c.core
+	codec := wire.JSON
+	if core.cfg.Codec == wire.Binary.Name() {
+		codec = wire.Binary
+	}
+	ins := wire.NewInstruments(core.cfg.Telemetry, core.cfg.TelemetryPrefix, path)
+	method, u := http.MethodGet, core.baseURL+path
 	if len(query) > 0 {
 		u += "?" + query.Encode()
 	}
-	ins := c.wireInstruments(path)
+	var body []byte
+	var id string
+	if in != nil {
+		method = http.MethodPost
+		var err error
+		if body, err = encodeBody(codec, in, ins); err != nil {
+			c.fail(err)
+			return false
+		}
+		id = c.requestID()
+	}
 	reqs, lat := c.instruments(path)
-	bufp := wire.GetBuffer()
-	defer wire.PutBuffer(bufp)
 	var lastErr error
-	for attempt := 0; attempt <= c.Retries; attempt++ {
+	for attempt := 0; attempt <= core.cfg.Retries; attempt++ {
 		if attempt > 0 {
 			if cerr := c.backoff(attempt); cerr != nil {
-				lastErr = fmt.Errorf("GET %s: canceled during retry backoff: %w (last attempt: %v)", path, cerr, lastErr)
+				lastErr = fmt.Errorf("%s %s: canceled during retry backoff: %w (last attempt: %v)", method, path, cerr, lastErr)
 				break
 			}
 		}
-		req, err := http.NewRequestWithContext(c.traceContext(), http.MethodGet, u, nil)
+		var rd io.Reader
+		if in != nil {
+			rd = bytes.NewReader(body)
+		}
+		req, err := http.NewRequestWithContext(c.traceContext(), method, u, rd)
 		if err != nil {
 			c.fail(err)
 			return false
 		}
 		req.Header.Set(HeaderProto, ProtoVersion)
-		if c.bodyCodec() == wire.Binary {
+		if in != nil {
+			req.Header.Set("Content-Type", codec.ContentType())
+			req.Header.Set(HeaderRequestID, id)
+			ins.BytesOut.Add(int64(len(body)))
+		} else if codec == wire.Binary {
 			req.Header.Set("Accept", wire.ContentTypeBinary)
 		}
 		reqs.Inc()
 		start := time.Now()
-		resp, err := c.httpc().Do(req)
+		resp, err := core.cfg.HTTPClient.Do(req)
 		lat.ObserveSince(start)
 		if err != nil {
 			lastErr = err
 			continue
 		}
-		code := resp.StatusCode
-		if code/100 != 2 {
-			msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
+		if code := resp.StatusCode; code/100 != 2 {
+			text, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
 			resp.Body.Close()
-			lastErr = fmt.Errorf("GET %s: %s: %s", path, resp.Status, msg)
+			lastErr = fmt.Errorf("%s %s: %s: %s", method, path, resp.Status, text)
 			if code/100 == 4 {
-				break
+				break // protocol error; retrying cannot help
 			}
 			continue
 		}
 		if got := resp.Header.Get(HeaderProto); got != ProtoVersion {
-			// Refuse to decode a response from a peer that does not
-			// stamp our protocol version — see ProtoError.
+			// Wrong or missing protocol stamp: this is not a tellme
+			// billboard speaking our protocol version. Terminal — a
+			// retry cannot change what the peer speaks.
 			resp.Body.Close()
 			lastErr = &ProtoError{Path: path, Got: got}
 			break
 		}
-		data, err := wire.ReadAll(*bufp, resp.Body)
+		if out != nil {
+			err = decodeReply(resp, out, ins)
+		}
 		resp.Body.Close()
-		*bufp = data[:0] // keep the grown capacity for reuse/return
 		if err != nil {
-			lastErr = fmt.Errorf("GET %s: read: %v", path, err)
-			continue
-		}
-		ins.BytesIn.Add(int64(len(data)))
-		codec := wire.JSON
-		if wire.ClassifyContentType(resp.Header.Get("Content-Type")) != wire.KindJSON {
-			// Any binary-family media type decodes with the binary
-			// codec, which itself rejects frame versions it does not
-			// speak — a future v2 reply fails loudly, not quietly.
-			codec = wire.Binary
-		}
-		start = time.Now()
-		err = codec.Decode(data, out)
-		ins.DecodeNs.ObserveSince(start)
-		if err != nil {
-			lastErr = fmt.Errorf("GET %s: decode: %v", path, err)
+			lastErr = fmt.Errorf("%s %s: %v", method, path, err)
 			continue
 		}
 		return true

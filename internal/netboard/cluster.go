@@ -517,9 +517,7 @@ func (cl *Cluster) BindContext(ctx context.Context) boardclient.Interface {
 // bind returns shard client sc carrying the cluster's context. The copy
 // is a value so a call through it stays on the caller's stack.
 func (cl *Cluster) bind(sc *Client) Client {
-	b := *sc
-	b.ctx = cl.ctx
-	return b
+	return Client{ctx: cl.ctx, core: sc.core}
 }
 
 // ── Static-topology resharding ───────────────────────────────────────
@@ -634,7 +632,7 @@ func (cl *Cluster) RemoveShard(ctx context.Context, baseURL string) error {
 func bindAll(ctx context.Context, clients []*Client) []*Client {
 	out := make([]*Client, len(clients))
 	for i, c := range clients {
-		out[i] = c.withContext(ctx)
+		out[i] = &Client{ctx: ctx, core: c.core}
 	}
 	return out
 }

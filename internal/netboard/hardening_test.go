@@ -195,7 +195,7 @@ func TestSnapshotCacheStaleGenerationMissesAcrossClients(t *testing.T) {
 	// cached epoch. A must observe the new content (generation differs).
 	_, a, done := newPair(t, 8, 8)
 	defer done()
-	bcl := NewClient(a.BaseURL)
+	bcl := NewClient(a.core.baseURL)
 
 	a.PostValues("g", 0, []uint32{1})
 	if got := a.ValueVotes("g"); len(got) != 1 || got[0].Voters[0] != 0 {
@@ -289,9 +289,7 @@ func TestRetryAfterCommitDoesNotDoubleApply(t *testing.T) {
 	srv := httptest.NewServer(h)
 	defer srv.Close()
 
-	c := NewClient(srv.URL)
-	c.Retries = 4
-	c.RetryBackoff = time.Millisecond
+	c := NewClientWithConfig(srv.URL, Config{Retries: 4, RetryBackoff: time.Millisecond})
 	p, _ := bitvec.PartialFromString("0101")
 	c.Post("t", 1, p)
 
@@ -309,9 +307,7 @@ func TestRetryAfterCommitDoesNotDoubleApply(t *testing.T) {
 	h2.kills.Store(1)
 	srv2 := httptest.NewServer(h2)
 	defer srv2.Close()
-	c2 := NewClient(srv2.URL)
-	c2.Retries = 4
-	c2.RetryBackoff = time.Millisecond
+	c2 := NewClientWithConfig(srv2.URL, Config{Retries: 4, RetryBackoff: time.Millisecond})
 	c2.Post("t", 1, p)
 	if got := board2.VectorPostCount(); got != 2 {
 		t.Fatalf("control without dedupe: VectorPostCount = %d, want 2", got)
@@ -326,9 +322,7 @@ func TestIdempotentBatchProbeRetry(t *testing.T) {
 	h.kills.Store(1)
 	srv := httptest.NewServer(h)
 	defer srv.Close()
-	c := NewClient(srv.URL)
-	c.Retries = 4
-	c.RetryBackoff = time.Millisecond
+	c := NewClientWithConfig(srv.URL, Config{Retries: 4, RetryBackoff: time.Millisecond})
 	c.PostProbes(0, []int{1, 2, 3}, []byte{1, 0, 1})
 	if got := board.ProbeCount(); got != 3 {
 		t.Fatalf("ProbeCount = %d, want 3", got)
@@ -339,9 +333,10 @@ func TestClientDegradedModeIsDetectable(t *testing.T) {
 	// With a non-panicking OnError a dead transport yields zero values;
 	// Err/Failures must expose that so the zeros cannot masquerade as
 	// an empty board.
-	c := NewClient("http://127.0.0.1:1") // nothing listening
 	var seen []error
-	c.OnError = func(err error) { seen = append(seen, err) }
+	c := NewClientWithConfig("http://127.0.0.1:1", Config{ // nothing listening
+		OnError: func(err error) { seen = append(seen, err) },
+	})
 
 	if c.Err() != nil {
 		t.Fatal("fresh client already degraded")
@@ -386,9 +381,8 @@ func TestLookupProbesWrongLengthReplyZeroes(t *testing.T) {
 		w.Write([]byte(`{"grades":"1"}`)) // one grade for a three-object batch
 	}))
 	defer srv.Close()
-	c := NewClient(srv.URL)
 	var seen []error
-	c.OnError = func(err error) { seen = append(seen, err) }
+	c := NewClientWithConfig(srv.URL, Config{OnError: func(err error) { seen = append(seen, err) }})
 
 	grades := []byte{1, 1, 1}
 	known := []bool{true, true, true}
@@ -415,14 +409,16 @@ func TestRetryAttemptCountAndLinearBackoff(t *testing.T) {
 	defer srv.Close()
 
 	meter := faultnet.New(nil, 1)
-	c := NewClient(srv.URL)
-	c.HTTPClient = &http.Client{Transport: meter}
-	c.Retries = 3
-	c.RetryBackoff = 10 * time.Millisecond
-	var slept []time.Duration
-	c.sleep = func(d time.Duration) { slept = append(slept, d) }
+	const unit = 10 * time.Millisecond
 	var errs int
-	c.OnError = func(error) { errs++ }
+	c := NewClientWithConfig(srv.URL, Config{
+		HTTPClient:   &http.Client{Transport: meter},
+		Retries:      3,
+		RetryBackoff: unit,
+		OnError:      func(error) { errs++ },
+	})
+	var slept []time.Duration
+	c.core.sleep = func(d time.Duration) { slept = append(slept, d) }
 
 	c.PostProbe(0, 0, 1)
 	if got := meter.Delivered(); got != 4 {
@@ -437,7 +433,7 @@ func TestRetryAttemptCountAndLinearBackoff(t *testing.T) {
 		t.Fatalf("backoff slept %v, want 3 waits", slept)
 	}
 	for i, d := range slept {
-		base := time.Duration(i+1) * c.RetryBackoff
+		base := time.Duration(i+1) * unit
 		lo, hi := base/2, base+base/2
 		if d < lo || d >= hi {
 			t.Fatalf("backoff attempt %d slept %v, want [%v, %v) (linear in the attempt number, ±50%% jitter)", i+1, d, lo, hi)
@@ -449,13 +445,14 @@ func TestNoRetryOn4xxCountsOneAttempt(t *testing.T) {
 	srv := httptest.NewServer(statusHandler{code: http.StatusBadRequest})
 	defer srv.Close()
 	meter := faultnet.New(nil, 1)
-	c := NewClient(srv.URL)
-	c.HTTPClient = &http.Client{Transport: meter}
-	c.Retries = 5
-	var slept int
-	c.sleep = func(time.Duration) { slept++ }
 	var errs int
-	c.OnError = func(error) { errs++ }
+	c := NewClientWithConfig(srv.URL, Config{
+		HTTPClient: &http.Client{Transport: meter},
+		Retries:    5,
+		OnError:    func(error) { errs++ },
+	})
+	var slept int
+	c.core.sleep = func(time.Duration) { slept++ }
 
 	c.PostProbe(0, 0, 1)
 	c.LookupProbe(0, 0)
@@ -495,9 +492,7 @@ func TestRetriesKeepOneRequestID(t *testing.T) {
 	}))
 	defer srv.Close()
 
-	c := NewClient(srv.URL)
-	c.Retries = 3
-	c.RetryBackoff = time.Millisecond
+	c := NewClientWithConfig(srv.URL, Config{Retries: 3, RetryBackoff: time.Millisecond})
 	c.PostProbe(0, 0, 1)
 	c.PostProbe(0, 1, 1)
 

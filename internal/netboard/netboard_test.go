@@ -1,10 +1,12 @@
 package netboard
 
 import (
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -103,10 +105,10 @@ func TestDropTopicAndStats(t *testing.T) {
 }
 
 func TestServerRejectsBadRequests(t *testing.T) {
-	_, c, done := newPair(t, 4, 8)
+	_, pair, done := newPair(t, 4, 8)
 	defer done()
 	var errs []string
-	c.OnError = func(err error) { errs = append(errs, err.Error()) }
+	c := NewClientWithConfig(pair.core.baseURL, Config{OnError: func(err error) { errs = append(errs, err.Error()) }})
 	c.PostProbe(99, 0, 1) // player out of range
 	c.PostProbe(0, 99, 1) // object out of range
 	c.PostProbe(0, 0, 7)  // bad grade
@@ -122,7 +124,7 @@ func TestServerRejectsBadRequests(t *testing.T) {
 	}
 	// A missing topic parameter is rejected like an empty one.
 	for _, path := range []string{PathPostings, PathValuePostings} {
-		resp, err := http.Get(c.BaseURL + path)
+		resp, err := http.Get(c.core.baseURL + path)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -257,12 +259,82 @@ func TestClientRetriesTransientFailures(t *testing.T) {
 	fh := &flakyHandler{inner: NewServer(board), fails: 2}
 	srv := httptest.NewServer(fh)
 	defer srv.Close()
-	c := NewClient(srv.URL)
-	c.Retries = 3
-	c.RetryBackoff = time.Millisecond
+	c := NewClientWithConfig(srv.URL, Config{Retries: 3, RetryBackoff: time.Millisecond})
 	c.PostProbe(1, 2, 1) // would panic without retries
 	if v, ok := c.LookupProbe(1, 2); !ok || v != 1 {
 		t.Fatalf("lookup after retries: %v %v", v, ok)
+	}
+
+	// Both methods share one retry loop: for each status class, a POST
+	// and a GET must see the same number of attempts and the same
+	// outcome. Every row answers its first `fails` requests with `code`
+	// (a 200 without the Tellme-Proto stamp when code is 200), then
+	// serves normally.
+	for _, method := range []struct {
+		name string
+		call func(c *Client)
+	}{
+		{http.MethodPost, func(c *Client) { c.PostProbe(1, 2, 1) }},
+		{http.MethodGet, func(c *Client) { c.LookupProbe(1, 2) }},
+	} {
+		for _, tc := range []struct {
+			name      string
+			fails     int
+			code      int
+			attempts  int64
+			wantErr   string // "" = the call succeeds
+			wantProto bool   // the error is a *ProtoError
+		}{
+			{"5xx retried", 2, http.StatusInternalServerError, 3, "", false},
+			{"5xx exhausted", 100, http.StatusServiceUnavailable, 4, "503", false},
+			{"4xx terminal", 100, http.StatusBadRequest, 1, "400", false},
+			{"unstamped 2xx terminal", 100, http.StatusOK, 1, "did not identify protocol", true},
+		} {
+			t.Run(method.name+"/"+tc.name, func(t *testing.T) {
+				board := billboard.New(4, 8)
+				inner := NewServer(board)
+				var seen atomic.Int64
+				srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+					if seen.Add(1) > int64(tc.fails) {
+						inner.ServeHTTP(w, r)
+					} else if tc.code == http.StatusOK {
+						w.WriteHeader(http.StatusOK)
+					} else {
+						http.Error(w, "injected", tc.code)
+					}
+				}))
+				defer srv.Close()
+				var errs []error
+				c := NewClientWithConfig(srv.URL, Config{
+					Retries:      3,
+					RetryBackoff: time.Millisecond,
+					OnError:      func(err error) { errs = append(errs, err) },
+				})
+				method.call(c)
+				if got := seen.Load(); got != tc.attempts {
+					t.Fatalf("server saw %d attempts, want %d", got, tc.attempts)
+				}
+				if tc.wantErr == "" {
+					if len(errs) != 0 {
+						t.Fatalf("call failed: %v", errs)
+					}
+					if method.name == http.MethodPost && board.ProbeCount() != 1 {
+						t.Fatalf("retried post applied %d probes, want 1", board.ProbeCount())
+					}
+					return
+				}
+				if len(errs) != 1 || !strings.Contains(errs[0].Error(), tc.wantErr) {
+					t.Fatalf("errors %v, want one containing %q", errs, tc.wantErr)
+				}
+				var pe *ProtoError
+				if isProto := errors.As(errs[0], &pe); isProto != tc.wantProto {
+					t.Fatalf("error %v: *ProtoError = %v, want %v", errs[0], isProto, tc.wantProto)
+				}
+				if !tc.wantProto && !strings.Contains(errs[0].Error(), method.name+" ") {
+					t.Fatalf("error %v does not name its method %s", errs[0], method.name)
+				}
+			})
+		}
 	}
 }
 
@@ -270,11 +342,12 @@ func TestClientDoesNotRetry4xx(t *testing.T) {
 	board := billboard.New(4, 8)
 	srv := httptest.NewServer(NewServer(board))
 	defer srv.Close()
-	c := NewClient(srv.URL)
-	c.Retries = 5
-	c.RetryBackoff = time.Millisecond
 	calls := 0
-	c.OnError = func(error) { calls++ }
+	c := NewClientWithConfig(srv.URL, Config{
+		Retries:      5,
+		RetryBackoff: time.Millisecond,
+		OnError:      func(error) { calls++ },
+	})
 	start := time.Now()
 	c.PostProbe(99, 0, 1) // 400: must fail once, quickly
 	if calls != 1 {
@@ -290,11 +363,12 @@ func TestClientRetriesExhausted(t *testing.T) {
 	fh := &flakyHandler{inner: NewServer(board), fails: 100}
 	srv := httptest.NewServer(fh)
 	defer srv.Close()
-	c := NewClient(srv.URL)
-	c.Retries = 2
-	c.RetryBackoff = time.Millisecond
 	var got error
-	c.OnError = func(err error) { got = err }
+	c := NewClientWithConfig(srv.URL, Config{
+		Retries:      2,
+		RetryBackoff: time.Millisecond,
+		OnError:      func(err error) { got = err },
+	})
 	c.PostProbe(0, 0, 1)
 	if got == nil || !strings.Contains(got.Error(), "500") {
 		t.Fatalf("error after exhausted retries: %v", got)

@@ -163,16 +163,16 @@ func TestClientProtoMismatchTypedError(t *testing.T) {
 // NewClient exactly.
 func TestConfigNormalizedDefaults(t *testing.T) {
 	c := NewClientWithConfig("http://x", Config{Retries: -3, RetryBackoff: -time.Second})
-	if c.Retries != 0 {
-		t.Fatalf("negative Retries clamped to %d, want 0", c.Retries)
+	if c.core.cfg.Retries != 0 {
+		t.Fatalf("negative Retries clamped to %d, want 0", c.core.cfg.Retries)
 	}
-	if c.RetryBackoff != DefaultRetryBackoff {
-		t.Fatalf("non-positive RetryBackoff normalized to %v, want %v", c.RetryBackoff, DefaultRetryBackoff)
+	if c.core.cfg.RetryBackoff != DefaultRetryBackoff {
+		t.Fatalf("non-positive RetryBackoff normalized to %v, want %v", c.core.cfg.RetryBackoff, DefaultRetryBackoff)
 	}
 
-	a, b := NewClient("http://x"), NewClientWithConfig("http://x", Config{})
-	if a.BaseURL != b.BaseURL || a.Retries != b.Retries || a.RetryBackoff != b.RetryBackoff ||
-		a.TelemetryPrefix != b.TelemetryPrefix {
-		t.Fatalf("NewClient %+v differs from zero-Config constructor %+v", a, b)
+	a, b := NewClient("http://x").core, NewClientWithConfig("http://x", Config{}).core
+	if a.baseURL != b.baseURL || a.cfg.Retries != b.cfg.Retries || a.cfg.RetryBackoff != b.cfg.RetryBackoff ||
+		a.cfg.TelemetryPrefix != b.cfg.TelemetryPrefix || a.cfg.TelemetryPrefix != DefaultTelemetryPrefix {
+		t.Fatalf("NewClient %+v differs from zero-Config constructor %+v", a.cfg, b.cfg)
 	}
 }

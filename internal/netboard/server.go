@@ -30,10 +30,6 @@ type Server struct {
 	mux    *http.ServeMux
 	dedupe *dedupe
 
-	// jsonOnly pins the server to the JSON codec: binary request bodies
-	// are answered 415 and replies are JSON regardless of Accept. See
-	// WithJSONOnly.
-	jsonOnly bool
 	// wireIns holds the per-endpoint wire instruments (bytes in/out,
 	// encode/decode latency), resolved once at registration; entries are
 	// the zero no-op Instruments when telemetry is off.
@@ -67,16 +63,6 @@ func WithDedupeWindow(n int) ServerOption {
 // age re-applies on a later retry.
 func WithDedupeMaxAge(age time.Duration) ServerOption {
 	return func(s *Server) { s.dedupe.maxAge = age }
-}
-
-// WithJSONOnly pins the server to the JSON codec: binary request
-// bodies are rejected with 415 (which binary-configured clients treat
-// as "fall back to JSON"), and every reply is JSON regardless of the
-// Accept header. This is the operator escape hatch for a mixed-codec
-// fleet — a shard can be pinned while the rest speak binary, and
-// clients keep working against both (see DESIGN.md §15).
-func WithJSONOnly() ServerOption {
-	return func(s *Server) { s.jsonOnly = true }
 }
 
 // WithTelemetry attaches a telemetry registry: per-endpoint request
@@ -202,23 +188,23 @@ func (s *Server) apply(w http.ResponseWriter, r *http.Request, mutate func()) {
 }
 
 // writeReply encodes v per the request's Accept header (JSON unless the
-// client asked for binary and the server is not jsonOnly) and writes it
-// with the matching Content-Type. JSON replies are byte-identical to
-// the pre-codec json.Encoder output.
+// client asked for binary) and writes it with the matching
+// Content-Type. JSON replies are byte-identical to the pre-codec
+// json.Encoder output.
 func (s *Server) writeReply(w http.ResponseWriter, r *http.Request, path string, v wire.Message) {
-	wire.WriteReply(w, r, v, s.jsonOnly, s.wireIns[path])
+	wire.WriteReply(w, r, v, s.wireIns[path])
 }
 
 // readBody checks the POST method every mutating endpoint shares and
 // decodes the request body per its Content-Type — binary bodies through
-// the binary codec (415 when jsonOnly), everything else as JSON —
-// answering 405/415/400 itself on failure.
+// the binary codec (415 for a binary version it does not speak),
+// everything else as JSON — answering 405/415/400 itself on failure.
 func (s *Server) readBody(w http.ResponseWriter, r *http.Request, path string, v wire.Message) bool {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST required", http.StatusMethodNotAllowed)
 		return false
 	}
-	if status, err := wire.DecodeRequest(r, v, s.jsonOnly, s.wireIns[path]); status != 0 {
+	if status, err := wire.DecodeRequest(r, v, s.wireIns[path]); status != 0 {
 		http.Error(w, err.Error(), status)
 		return false
 	}

@@ -214,33 +214,6 @@ func (e *Engine) TotalInvoked() int64 {
 	return t
 }
 
-// Snapshot copies the per-player charged counters into dst (allocating
-// if dst is short); MaxDelta diffs against it to compute the round
-// count of a phase.
-func (e *Engine) Snapshot(dst []int64) []int64 {
-	if cap(dst) < len(e.charged) {
-		dst = make([]int64, len(e.charged))
-	}
-	dst = dst[:len(e.charged)]
-	for i := range e.charged {
-		dst[i] = e.charged[i].Load()
-	}
-	return dst
-}
-
-// MaxDelta returns the maximum per-player difference between the current
-// counters and the snapshot prev: the parallel round count of the phase
-// that ran since prev was taken.
-func (e *Engine) MaxDelta(prev []int64) int64 {
-	var worst int64
-	for i := range e.charged {
-		if d := e.charged[i].Load() - prev[i]; d > worst {
-			worst = d
-		}
-	}
-	return worst
-}
-
 // Board returns the billboard the engine posts to. When the engine was
 // built with WithContext this is the context-bound view.
 func (e *Engine) Board() boardclient.Interface { return e.board }

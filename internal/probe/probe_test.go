@@ -81,21 +81,6 @@ func TestChargesIsolatedPerPlayer(t *testing.T) {
 	}
 }
 
-func TestSnapshotAndMaxDelta(t *testing.T) {
-	e, _ := newEngine(t)
-	snap := e.Snapshot(nil)
-	e.Player(0).Probe(1)
-	e.Player(0).Probe(2)
-	e.Player(1).Probe(1)
-	if d := e.MaxDelta(snap); d != 2 {
-		t.Fatalf("MaxDelta = %d, want 2", d)
-	}
-	snap = e.Snapshot(snap)
-	if d := e.MaxDelta(snap); d != 0 {
-		t.Fatalf("MaxDelta after snapshot = %d", d)
-	}
-}
-
 func TestFlipNoiseAlways(t *testing.T) {
 	e, in := newEngine(t, WithNoise(FlipNoise(1.0)))
 	pl := e.Player(2)

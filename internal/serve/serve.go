@@ -501,7 +501,7 @@ func (e *Engine) compute(ctx context.Context, inst *prefs.Instance, plan sim.Epo
 	defer func() {
 		if rec := recover(); rec != nil {
 			outs, refreshed = nil, false
-			err = recoveredErr(rec)
+			err = core.RecoveredErr(rec)
 		}
 	}()
 
@@ -592,20 +592,5 @@ func (e *Engine) Run(ctx context.Context, every time.Duration) error {
 func (e *Engine) logf(format string, args ...any) {
 	if e.cfg.Logf != nil {
 		e.cfg.Logf(format, args...)
-	}
-}
-
-// recoveredErr maps a recovered algorithm panic to an error, mirroring
-// the batch facade's asRunError.
-func recoveredErr(rec any) error {
-	switch v := rec.(type) {
-	case *core.Abort:
-		return v.Err
-	case *probe.Canceled:
-		return v.Cause
-	case error:
-		return v
-	default:
-		return &sim.PanicError{Value: rec}
 	}
 }

@@ -33,7 +33,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"strings"
 	"time"
 
 	"tellme/internal/billboard"
@@ -48,7 +47,6 @@ import (
 	"tellme/internal/rng"
 	"tellme/internal/sim"
 	"tellme/internal/telemetry"
-	"tellme/internal/wire"
 )
 
 // Vector is a packed binary preference vector.
@@ -141,15 +139,15 @@ type Options struct {
 	// of an in-memory board: one base URL addresses a single server
 	// (cmd/billboard), and a comma-separated list of base URLs
 	// addresses a sharded cluster (cmd/billboard -shards), routed by
-	// consistent hashing (see DESIGN.md §12). The simulation is
+	// consistent hashing (see DESIGN.md §12); netboard.Open resolves
+	// it, trimming space around each URL. The simulation is
 	// deterministic either way; probe posts and vote reads travel over
 	// the batched wire protocol (see DESIGN.md §8).
 	BoardURL string
 	// BoardCodec selects the wire encoding for BoardURL targets:
 	// "json" (the default) or "binary" (packed bit-plane frames, see
-	// DESIGN.md §15; falls back to JSON per-request against servers
-	// that don't speak it). Ignored when Board is set or the board is
-	// in-memory.
+	// DESIGN.md §15). It must name a codec unless Board is set, and it
+	// has no effect on an in-memory board.
 	BoardCodec string
 	// Board, if non-nil, is used as the billboard directly and takes
 	// precedence over BoardURL. This is how a pre-configured
@@ -293,11 +291,6 @@ func RunContext(ctx context.Context, in *Instance, opt Options) (*Report, error)
 	if opt.Timeout < 0 {
 		return nil, fmt.Errorf("tellme: negative timeout %v", opt.Timeout)
 	}
-	if opt.BoardCodec != "" {
-		if _, err := wire.ByName(opt.BoardCodec); err != nil {
-			return nil, fmt.Errorf("tellme: %w", err)
-		}
-	}
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -315,25 +308,13 @@ func RunContext(ctx context.Context, in *Instance, opt Options) (*Report, error)
 	}
 
 	src := rng.NewSource(opt.Seed)
-	var board boardclient.Interface
-	switch {
-	case opt.Board != nil:
-		board = opt.Board
-	case strings.Contains(opt.BoardURL, ","):
-		cluster, err := netboard.NewCluster(netboard.ClusterConfig{
-			Shards: strings.Split(opt.BoardURL, ","),
-			Client: netboard.Config{Telemetry: opt.Telemetry, Codec: opt.BoardCodec},
-		})
+	board := opt.Board
+	if board == nil {
+		var err error
+		board, err = netboard.Open(opt.BoardURL, in.N, in.M, netboard.Config{Telemetry: opt.Telemetry, Codec: opt.BoardCodec})
 		if err != nil {
 			return nil, fmt.Errorf("tellme: board url %q: %w", opt.BoardURL, err)
 		}
-		board = cluster
-	case opt.BoardURL != "":
-		board = netboard.NewClientWithConfig(opt.BoardURL, netboard.Config{Telemetry: opt.Telemetry, Codec: opt.BoardCodec})
-	default:
-		mem := billboard.New(in.N, in.M)
-		mem.SetTelemetry(opt.Telemetry)
-		board = mem
 	}
 	var popts []probe.Option
 	if opt.FlipNoise > 0 {
@@ -399,14 +380,7 @@ func fullOutputs(outputs []Partial, m int) bool {
 func gradeCommunities(in *Instance, outputs []Partial) []CommunityReport {
 	var reps []CommunityReport
 	for _, c := range in.Communities {
-		diam := in.Diameter(c.Members)
-		reps = append(reps, CommunityReport{
-			Size:        len(c.Members),
-			Diameter:    diam,
-			Discrepancy: metrics.Discrepancy(in, c.Members, outputs),
-			Stretch:     metrics.Stretch(in, c.Members, outputs),
-			MeanErr:     metrics.MeanErr(in, c.Members, outputs),
-		})
+		reps = append(reps, Evaluate(in, c.Members, outputs))
 	}
 	return reps
 }
@@ -471,20 +445,7 @@ func asRunError(rec any, env *core.Env, opt Options) error {
 	if phase == "" {
 		phase = opt.Algorithm.String()
 	}
-	var cause error
-	switch v := rec.(type) {
-	case *core.Abort:
-		cause = v.Err
-	case *probe.Canceled:
-		// A cancellation observed outside a phase body (coordinator
-		// code probing directly) reaches here unwrapped.
-		cause = v.Cause
-	case error:
-		cause = v
-	default:
-		cause = &sim.PanicError{Value: rec}
-	}
-	return &RunError{Phase: phase, Cause: cause}
+	return &RunError{Phase: phase, Cause: core.RecoveredErr(rec)}
 }
 
 // Evaluate measures output quality over an arbitrary player set — the
