@@ -33,12 +33,13 @@ stress-net:
 
 # The sharded-cluster gate on its own (also part of `race`): the
 # consistent-hash ring invariants, the cluster-vs-single-board identity
-# oracles, resharding drains, and the multi-shard fault-injection
+# oracles, resharding drains and the dedupe quiesce they rely on
+# (internal/netboard/drain_test.go), and the multi-shard fault-injection
 # stress — one shard's network degraded while concurrent players post —
 # proving zero lost and zero double-applied posts under -race
 # (internal/netboard/cluster_stress_test.go).
 stress-cluster:
-	$(GO) test -race -run 'Ring|Cluster' ./internal/netboard/
+	$(GO) test -race -run 'Ring|Cluster|RemoveShard|Quiesce' ./internal/netboard/
 
 # The serving-churn gate on its own (also part of `race`): players
 # joining and leaving at every epoch boundary against a 4-shard cluster
@@ -58,9 +59,10 @@ race-telemetry:
 # The cancellation gate on its own (also part of `race`): phase workers
 # cancelled mid-phase, player panics surfacing as errors with the
 # barrier intact, a dead networked billboard hitting its deadline, and
-# an aborted run leaving the shared board consistent.
+# an aborted run or serving epoch leaving the shared board (in memory or
+# behind a netboard server) consistent.
 race-cancel:
-	$(GO) test -race -run 'Cancel|PanicBecomes|Deadline|PreCancelled' . ./internal/sim/ ./internal/netboard/
+	$(GO) test -race -run 'Cancel|PanicBecomes|Deadline|PreCancelled' . ./internal/sim/ ./internal/netboard/ ./internal/serve/
 
 # The load-generator smoke (also part of `race` via the package tests):
 # a 10k-player in-process fleet plus a 2-shard loopback cluster run,

@@ -103,7 +103,7 @@ func RunBaseline(in *Instance, opt BaselineOptions) (*Report, error) {
 	}
 	elapsed := time.Since(start)
 
-	st := metrics.Probes(engine, in.N, nil)
+	st := metrics.Probes(engine)
 	rep := &Report{
 		Outputs:     outputs,
 		MaxProbes:   st.Max,

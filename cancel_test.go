@@ -3,14 +3,18 @@ package tellme
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"tellme/internal/billboard"
 	"tellme/internal/boardclient"
+	"tellme/internal/core"
 	"tellme/internal/netboard"
 	"tellme/internal/netboard/faultnet"
 	"tellme/internal/sim"
@@ -225,6 +229,108 @@ func TestCancelMidZeroRadiusLeavesBoardConsistent(t *testing.T) {
 		if !want.Outputs[p].Equal(got.Outputs[p]) {
 			t.Fatalf("player %d output differs after running on the aborted run's board", p)
 		}
+	}
+}
+
+// TestCancelRemoteRunLeavesBoardConsistent is the networked twin of
+// TestCancelMidZeroRadiusLeavesBoardConsistent: the run's context is
+// cancelled after the server has applied the k-th value post, so the
+// client is bound to a dead context when the run unwinds. The run's
+// in-flight topics must still be dropped on the server, and a rerun on
+// the same server must reproduce the fresh-board outputs exactly.
+func TestCancelRemoteRunLeavesBoardConsistent(t *testing.T) {
+	in := IdenticalInstance(32, 64, 0.5, 13)
+	opt := Options{Algorithm: AlgoZero, Alpha: 0.5, Seed: 14}
+	want, err := Run(in, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []int64{5, 33, 40} {
+		t.Run(fmt.Sprintf("after%d", k), func(t *testing.T) {
+			shared := billboard.New(in.N, in.M)
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			var posts atomic.Int64
+			h := netboard.NewServer(shared)
+			srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				h.ServeHTTP(w, r)
+				if r.URL.Path == netboard.PathValues && posts.Add(1) == k {
+					cancel()
+				}
+			}))
+			defer srv.Close()
+
+			aopt := opt
+			aopt.Board = netboard.NewClient(srv.URL)
+			_, err := RunContext(ctx, in, aopt)
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("err = %v, want a cancelled run", err)
+			}
+			if n := shared.TopicCount(); n != 0 {
+				t.Fatalf("%d topics left on the server after an aborted run: %v", n, shared.Topics())
+			}
+
+			ropt := opt
+			ropt.Board = netboard.NewClient(srv.URL)
+			got, err := Run(in, ropt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for p := 0; p < in.N; p++ {
+				if !want.Outputs[p].Equal(got.Outputs[p]) {
+					t.Fatalf("player %d output differs after running on the aborted run's board", p)
+				}
+			}
+		})
+	}
+}
+
+// TestCancelOnHungServerBoundsCleanup: a run with no Timeout whose
+// caller cancels it because the server stopped answering must not hang
+// in the run-boundary topic cleanup. The server answers normally until
+// the 5th value post (so the run has topics open), then holds every
+// request until the client gives up on it; the cleanup falls back to
+// core.CleanupBudget instead of retrying each drop without a deadline.
+func TestCancelOnHungServerBoundsCleanup(t *testing.T) {
+	in := IdenticalInstance(32, 64, 0.5, 13)
+	shared := billboard.New(in.N, in.M)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var posts atomic.Int64
+	var hung atomic.Bool
+	release := make(chan struct{})
+	h := netboard.NewServer(shared)
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if hung.Load() {
+			select {
+			case <-r.Context().Done():
+			case <-release:
+			}
+			return
+		}
+		h.ServeHTTP(w, r)
+		if r.URL.Path == netboard.PathValues && posts.Add(1) == 5 {
+			hung.Store(true)
+			cancel()
+		}
+	}))
+	defer srv.Close()
+	defer close(release)
+
+	done := make(chan error, 1)
+	go func() {
+		_, err := RunContext(ctx, in, Options{
+			Algorithm: AlgoZero, Alpha: 0.5, Seed: 14, Board: netboard.NewClient(srv.URL),
+		})
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("err = %v, want a cancelled run", err)
+		}
+	case <-time.After(core.CleanupBudget + 5*time.Second):
+		t.Fatalf("cancelled run still in cleanup %v after a %v cleanup budget", core.CleanupBudget+5*time.Second, core.CleanupBudget)
 	}
 }
 

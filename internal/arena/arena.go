@@ -209,10 +209,6 @@ func (a *Arena) Words(n int) []uint64 { return a.words.Make(n) }
 // U32s returns a zeroed []uint32 of length n from the arena.
 func (a *Arena) U32s(n int) []uint32 { return a.u32s.Make(n) }
 
-// RawU32s returns an uninitialized []uint32 of length n from the arena
-// (see Slab.Raw: only for regions fully overwritten before any read).
-func (a *Arena) RawU32s(n int) []uint32 { return a.u32s.Raw(n) }
-
 // Bools returns a zeroed []bool of length n from the arena.
 func (a *Arena) Bools(n int) []bool { return a.bools.Make(n) }
 

@@ -24,7 +24,9 @@ package core
 import (
 	"context"
 	"fmt"
+	"maps"
 	"math"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -141,6 +143,11 @@ type Env struct {
 	// phases; the facade reads it after the run unwinds.
 	ckOuts   []bitvec.Partial
 	ckEpochs int
+
+	// open is the set of topics the run has registered (openTopic) and
+	// not yet dropped (dropTopic) — what DropOpenTopics cleans up at the
+	// run boundary. Coordinator-goroutine only, like scratch.
+	open map[string]struct{}
 }
 
 // Abort is the panic payload the Env helpers use to unwind a cancelled
@@ -149,8 +156,8 @@ type Env struct {
 // unwinds instead. The facade (package tellme) recovers it at the run
 // boundary and converts it into a *RunError; code between the two — the
 // algorithm bodies — only needs panic-safety, which they have by
-// construction (the billboard cleanup is handled by the abort-cleanup
-// defers in the topic-owning algorithms).
+// construction (the billboard cleanup is DropOpenTopics, called at the
+// same boundary).
 type Abort struct {
 	// Err is the underlying failure: a cancellation cause such as
 	// context.DeadlineExceeded, a *sim.PanicError from player code, or a
@@ -212,9 +219,6 @@ func (env *Env) checkAborted() {
 // ("" when nothing ran); the facade stamps it into RunError.Phase.
 func (env *Env) ActiveKind() string { return env.cur }
 
-// Context returns the run's context (nil for an uncancellable run).
-func (env *Env) Context() context.Context { return env.ctx }
-
 // saveCheckpoint records outs as the outputs of the last completed
 // epoch (epochs completed so far). The slice header is copied so later
 // element reassignments by the caller cannot tear the checkpoint; the
@@ -233,12 +237,57 @@ func (env *Env) Checkpoint() ([]bitvec.Partial, int) {
 	return env.ckOuts, env.ckEpochs
 }
 
-// dropQuietly removes a topic, swallowing any failure: it runs on the
-// abort path, where the transport may be the very thing that died, and
-// a cleanup panic must not mask the original abort cause.
-func (env *Env) dropQuietly(name string) {
-	defer func() { _ = recover() }()
+// CleanupBudget bounds DropOpenTopics for a run with no deadline, so a
+// dead or hung server cannot hold a cancelled run in its cleanup.
+const CleanupBudget = time.Second
+
+// openTopic registers a topic the run is about to post to. The
+// coordinator calls it before the topic's first post; every topic it
+// registers stays open until dropTopic, so an abort leaves exactly the
+// in-flight topics for DropOpenTopics. Coordinator-goroutine only.
+func (env *Env) openTopic(name string) { env.open[name] = struct{}{} }
+
+// dropTopic drops a topic the run opened and unregisters it. A drop
+// that fails unwinds with the topic still registered, so the run
+// boundary's DropOpenTopics retries it.
+func (env *Env) dropTopic(name string) {
 	env.Board.DropTopic(name)
+	delete(env.open, name)
+}
+
+// DropOpenTopics drops, in sorted order, every topic the run opened and
+// did not drop: nothing after a completed run, the in-flight scratch
+// after an abort. Topic tags are deterministic (freshTag), so a leaked
+// topic would be read by the next run on the same board as its own.
+//
+// board must be the caller's board *unbound* from the run's context:
+// the drops run under context.WithoutCancel of that context, so they
+// still reach a networked board after the run was cancelled, within
+// budget (CleanupBudget when budget <= 0). A failed drop is not raised
+// (a networked board still records it in Err/Failures): cleanup must
+// not mask the run's own error. Run-boundary code defers it.
+func (env *Env) DropOpenTopics(board boardclient.Interface, budget time.Duration) {
+	if len(env.open) == 0 {
+		return
+	}
+	names := slices.Sorted(maps.Keys(env.open))
+	clear(env.open)
+	ctx := context.Background()
+	if env.ctx != nil {
+		ctx = context.WithoutCancel(env.ctx)
+	}
+	if budget <= 0 {
+		budget = CleanupBudget
+	}
+	ctx, cancel := context.WithTimeout(ctx, budget)
+	defer cancel()
+	b := boardclient.BindContext(ctx, board)
+	for _, name := range names {
+		func() {
+			defer func() { _ = recover() }()
+			b.DropTopic(name)
+		}()
+	}
 }
 
 // kind identifies one sub-algorithm the Env counts and spans.
@@ -337,6 +386,7 @@ func NewEnv(e *probe.Engine, runner sim.PhaseRunner, public rng.Source, cfg Conf
 		N:      e.Instance().N,
 		M:      e.Instance().M,
 		Cfg:    cfg,
+		open:   make(map[string]struct{}),
 	}
 	// The engine's context (probe.WithContext) is the run's context: the
 	// coordinator loops observe the same cancellation the players do.

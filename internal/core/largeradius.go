@@ -112,19 +112,6 @@ func LargeRadius(env *Env, players []int, objs []int, alpha float64, d int) []bi
 		coalD = cap
 	}
 
-	// Abort-path cleanup: Step 2 posts to deterministic per-group topics
-	// that Step 3 normally drops; an abort between the two would leave
-	// them for the next run on a shared board to misread. Re-drops of
-	// already-dropped topics are no-ops.
-	defer func() {
-		if rec := recover(); rec != nil {
-			for g := 0; g < groupCount; g++ {
-				env.dropQuietly(fmt.Sprintf("%s/g%d", tag, g))
-			}
-			panic(rec)
-		}
-	}()
-
 	// Step 2: Small Radius per group, with frequency parameter α/2 and
 	// confidence parameter K = Θ(log n); players post their outputs.
 	k := env.confidenceK()
@@ -136,6 +123,7 @@ func LargeRadius(env *Env, players []int, objs []int, alpha float64, d int) []bi
 		}
 		sr := smallRadiusPos(env, groupPlayers[g], groupObjs[g], alpha/2, lambda, k)
 		topic := fmt.Sprintf("%s/g%d", tag, g)
+		env.openTopic(topic)
 		if hinter != nil {
 			hinter.HintPosts(topic, len(groupPlayers[g]), 0)
 		}
@@ -174,7 +162,7 @@ func LargeRadius(env *Env, players []int, objs []int, alpha float64, d int) []bi
 			b = []bitvec.Partial{bitvec.NewPartial(len(groupObjs[g]))}
 		}
 		cands[g] = b
-		env.Board.DropTopic(topic)
+		env.dropTopic(topic)
 	}
 
 	// Step 4: Zero Radius over the virtual objects. The Select bound per

@@ -69,6 +69,7 @@ func Refresh(env *Env, players []int, objs []int, stale []bitvec.Partial, alpha 
 	// Step 1: identify consensus groups from the (public) stale outputs.
 	// Joiners have nothing to post and do not dilute the threshold.
 	staleTopic := tag + "/stale"
+	env.openTopic(staleTopic)
 	posters := 0
 	for _, p := range players {
 		out[p] = stale[p].Clone() // default: keep stale
@@ -83,21 +84,8 @@ func Refresh(env *Env, players []int, objs []int, stale []bitvec.Partial, alpha 
 		need = 2
 	}
 	votes := env.Board.Votes(staleTopic)
-	env.Board.DropTopic(staleTopic)
+	env.dropTopic(staleTopic)
 
-	// Abort-path cleanup: the stale topic and any in-flight patch topic
-	// use deterministic tags; drop them quietly so an aborted repair does
-	// not leak postings into the next run on a shared board.
-	groupID := 0
-	defer func() {
-		if rec := recover(); rec != nil {
-			env.dropQuietly(staleTopic)
-			for g := 0; g <= groupID; g++ {
-				env.dropQuietly(tag + "/patches/" + strconv.Itoa(g))
-			}
-			panic(rec)
-		}
-	}()
 	var repaired []bitvec.Partial
 	for _, v := range votes {
 		if v.Count < need {
@@ -105,8 +93,7 @@ func Refresh(env *Env, players []int, objs []int, stale []bitvec.Partial, alpha 
 		}
 		env.checkAborted()
 		repaired = append(repaired, refreshGroup(env, coin, objs, v.Voters, v.Vec, out,
-			redundancy, maxPatches, tag, groupID))
-		groupID++
+			redundancy, maxPatches, tag, len(repaired)))
 	}
 	adoptJoiners(env, players, objs, stale, repaired, out, tag)
 	return out
@@ -151,6 +138,7 @@ func refreshGroup(env *Env, coin *rng.Rand, objs []int, holders []int,
 	redundancy, maxPatches int, tag string, groupID int) bitvec.Partial {
 
 	topic := tag + "/patches/" + strconv.Itoa(groupID)
+	env.openTopic(topic)
 
 	// Public-coin assignment: each coordinate to `redundancy` holders.
 	assigned := make(map[int][]int, len(holders)) // player -> local coords
@@ -207,7 +195,7 @@ func refreshGroup(env *Env, coin *rng.Rand, objs []int, holders []int,
 			out[p].SetBit(pa.lc, pl.Probe(objs[pa.lc]))
 		}
 	})
-	env.Board.DropTopic(topic)
+	env.dropTopic(topic)
 
 	repaired := consensus.Clone()
 	for _, pa := range patches {

@@ -130,9 +130,7 @@ func zeroRadiusFlat(env *Env, players []int, space ObjectSpace, alpha float64) [
 
 	// All per-call working memory — tree nodes, shuffled halves, posting
 	// scratch — comes from the coordinator arena and is recycled on
-	// return; only the returned out rows are heap-allocated. The release
-	// defer is registered before the abort-cleanup defer below, so on an
-	// abort the cleanup still reads live node topics first (LIFO).
+	// return; only the returned out rows are heap-allocated.
 	sc := &env.scratch
 	defer sc.release(sc.mark())
 
@@ -166,24 +164,6 @@ func zeroRadiusFlat(env *Env, players []int, space ObjectSpace, alpha float64) [
 		return nd
 	}
 	root := build(sc.a.CopyInts(players), objs, 0)
-
-	// Abort-path cleanup: topic tags are deterministic (freshTag is a
-	// plain sequence number — load-bearing for public-coin streams), so
-	// a run aborted mid-level would leave partial postings that a later
-	// run on the same shared board would read as its own. Drop every
-	// node topic quietly before letting the abort continue; on the
-	// normal path topics are dropped level-by-level below and re-drops
-	// are no-ops.
-	defer func() {
-		if rec := recover(); rec != nil {
-			for _, level := range byLevel {
-				for _, nd := range level {
-					env.dropQuietly(nd.topic)
-				}
-			}
-			panic(rec)
-		}
-	}()
 
 	// childAt[i] tracks the node players[i] most recently completed, so
 	// an internal node knows which child the player came from; posOf
@@ -224,6 +204,7 @@ func zeroRadiusFlat(env *Env, players []int, space ObjectSpace, alpha float64) [
 				nodeAt[posOf[p]] = nd
 			}
 			phasePlayers = append(phasePlayers, nd.players...)
+			env.openTopic(nd.topic)
 			if batcher != nil {
 				nd.ref = batcher.TopicRef(nd.topic)
 			}
@@ -295,11 +276,11 @@ func zeroRadiusFlat(env *Env, players []int, space ObjectSpace, alpha float64) [
 		// Completed child topics are no longer read; free them.
 		if level+1 < len(byLevel) {
 			for _, nd := range byLevel[level+1] {
-				env.Board.DropTopic(nd.topic)
+				env.dropTopic(nd.topic)
 			}
 		}
 	}
-	env.Board.DropTopic(root.topic)
+	env.dropTopic(root.topic)
 	return flat
 }
 

@@ -115,7 +115,7 @@ func runFamily(o Options, t *metrics.Table, mk func(seed uint64) *prefs.Instance
 
 		ses2 := o.newSession(in, seed+2, core.DefaultConfig())
 		outSolo := baseline.Solo(ses2.engine, ses2.runner)
-		add("solo(full)", int64(in.M), metrics.Probes(ses2.engine, in.N, nil).Max,
+		add("solo(full)", int64(in.M), metrics.Probes(ses2.engine).Max,
 			metrics.MeanErr(in, comm, outSolo), float64(metrics.Discrepancy(in, comm, outSolo)))
 
 		type bl struct {
@@ -139,7 +139,7 @@ func runFamily(o Options, t *metrics.Table, mk func(seed uint64) *prefs.Instance
 		} {
 			ses3 := o.newSession(in, seed+3, core.DefaultConfig())
 			outB := b.run(ses3)
-			add(b.name, int64(budget), metrics.Probes(ses3.engine, in.N, nil).Max,
+			add(b.name, int64(budget), metrics.Probes(ses3.engine).Max,
 				metrics.MeanErr(in, comm, outB), float64(metrics.Discrepancy(in, comm, outB)))
 		}
 		o.logf("E9 %s seed %d done", t.Title, s)

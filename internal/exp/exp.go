@@ -143,7 +143,7 @@ func (o Options) newSession(in *prefs.Instance, seed uint64, cfg core.Config) *s
 
 // probeStats reads the session's cost counters.
 func (s *session) probeStats() metrics.ProbeStats {
-	return metrics.Probes(s.engine, s.in.N, nil)
+	return metrics.Probes(s.engine)
 }
 
 // community returns the first planted community's member list.

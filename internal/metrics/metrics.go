@@ -73,15 +73,13 @@ type ProbeStats struct {
 	Mean float64
 }
 
-// Probes computes ProbeStats from an engine, optionally against a prior
-// snapshot (nil means since engine creation).
-func Probes(e *probe.Engine, n int, prev []int64) ProbeStats {
+// Probes computes ProbeStats over every player of the engine's instance,
+// since engine creation.
+func Probes(e *probe.Engine) ProbeStats {
 	var st ProbeStats
+	n := e.Instance().N
 	for p := 0; p < n; p++ {
 		c := e.Charged(p)
-		if prev != nil {
-			c -= prev[p]
-		}
 		st.Total += c
 		if c > st.Max {
 			st.Max = c

@@ -94,18 +94,9 @@ func TestProbesStats(t *testing.T) {
 		e.Player(0).Probe(i)
 	}
 	e.Player(2).Probe(0)
-	st := Probes(e, in.N, nil)
+	st := Probes(e)
 	if st.Max != 5 || st.Total != 6 || math.Abs(st.Mean-1.5) > 1e-9 {
 		t.Fatalf("stats = %+v", st)
-	}
-	snap := make([]int64, in.N)
-	for p := range snap {
-		snap[p] = e.Charged(p)
-	}
-	e.Player(1).Probe(3)
-	st = Probes(e, in.N, snap)
-	if st.Max != 1 || st.Total != 1 {
-		t.Fatalf("delta stats = %+v", st)
 	}
 }
 

@@ -1,8 +1,10 @@
 package netboard
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -248,5 +250,75 @@ func TestBoundViewCancelsEveryMethod(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestDropTopicSettlesCancelledPosts pins the late-commit fence: a topic
+// post whose context is cancelled while the server holds the request
+// can still be applied after the client gave up on it. DropTopic must
+// re-send it (same request id) before dropping, so the held original
+// is then a dedupe hit and cannot bring the dropped topic back.
+func TestDropTopicSettlesCancelledPosts(t *testing.T) {
+	board := billboard.New(4, 4)
+	h := NewServer(board)
+	var once sync.Once
+	held, release, applied := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		hold := false
+		if r.URL.Path == PathValues {
+			once.Do(func() { hold = true })
+		}
+		if !hold {
+			h.ServeHTTP(w, r)
+			return
+		}
+		// The server has the whole request; it applies it only after
+		// the client has given up and dropped the topic.
+		body, err := io.ReadAll(r.Body)
+		if err != nil {
+			t.Error(err)
+		}
+		close(held)
+		<-release
+		r.Body = io.NopCloser(bytes.NewReader(body))
+		h.ServeHTTP(w, r)
+		close(applied)
+	}))
+	defer srv.Close()
+
+	c := NewClientWithConfig(srv.URL, Config{OnError: func(error) {}})
+	ctx, cancel := context.WithCancel(context.Background())
+	posted := make(chan struct{})
+	go func() {
+		defer close(posted)
+		c.BindContext(ctx).PostValues("t", 0, []uint32{1})
+	}()
+	<-held
+	cancel()
+	<-posted
+
+	c.DropTopic("t")
+	close(release)
+	<-applied
+	if n := board.TopicCount(); n != 0 {
+		t.Fatalf("%d topics on the board: the cancelled post landed after the drop", n)
+	}
+}
+
+// TestPendingPostsExpireWithDedupeWindow: a cut-short post older than
+// the server's dedupe age is pruned when the next one is kept, so the
+// posts of a topic never dropped through this client do not pile up,
+// and settle does not re-send a post the server would apply anew.
+func TestPendingPostsExpireWithDedupeWindow(t *testing.T) {
+	c := NewClient("http://127.0.0.1:0")
+	now := time.Now()
+	c.core.keepPending("old", pendingPost{id: "a", at: now.Add(-DefaultDedupeMaxAge - time.Second)})
+	c.core.keepPending("kept", pendingPost{id: "b", at: now.Add(-time.Second)})
+	c.core.keepPending("new", pendingPost{id: "c", at: now})
+	if _, ok := c.core.pending["old"]; ok {
+		t.Fatal("a post past the dedupe age was kept")
+	}
+	if len(c.core.pending["kept"]) != 1 || len(c.core.pending["new"]) != 1 {
+		t.Fatalf("pending = %v, want the two fresh posts", c.core.pending)
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"net/http"
 	"net/http/httptrace"
 	"net/url"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -72,8 +73,10 @@ type clientCore struct {
 	// baseURL is the server's root, e.g. "http://localhost:7070".
 	baseURL string
 	// cfg is the normalized configuration, with HTTPClient and
-	// TelemetryPrefix resolved to their defaults when unset.
-	cfg Config
+	// TelemetryPrefix resolved to their defaults when unset; codec is
+	// the wire codec cfg.Codec names.
+	cfg   Config
+	codec wire.Codec
 	// sleep stubs the backoff wait for tests. The stub is only invoked
 	// with a live context; a cancelled context skips the wait entirely,
 	// which is what the cancellation tests assert.
@@ -104,6 +107,22 @@ type clientCore struct {
 	// Per-topic snapshot cache keyed by the server's (gen, epoch) stamp.
 	cacheMu sync.Mutex
 	cache   map[string]*topicCacheEntry
+
+	// Topic posts a cancelled context cut short, by topic, for DropTopic
+	// to settle (see settle).
+	pendMu  sync.Mutex
+	pending map[string][]pendingPost
+}
+
+// pendingPost is one topic post whose request was cut short by
+// cancellation and may still reach the server: its encoded body and
+// request id, kept so settle can re-send it as the same request, and
+// when it was cut short.
+type pendingPost struct {
+	path string
+	body []byte
+	id   string
+	at   time.Time
 }
 
 // topicCacheEntry is one topic's decoded tallies at a (gen, epoch) stamp.
@@ -373,12 +392,12 @@ func decodeReply(resp *http.Response, out wire.Message, ins wire.Instruments) er
 }
 
 // post sends msg as an idempotent POST to path; see roundTrip.
-func (c *Client) post(path string, msg wire.Message) { c.roundTrip(path, nil, msg, nil) }
+func (c *Client) post(path string, msg wire.Message) { c.roundTrip(path, nil, msg, nil, "") }
 
 // get fetches path?query into out and reports whether it succeeded; see
 // roundTrip.
 func (c *Client) get(path string, query url.Values, out wire.Message) bool {
-	return c.roundTrip(path, query, nil, out)
+	return c.roundTrip(path, query, nil, out, "")
 }
 
 // roundTrip is the client's one request path. A mutation (in != nil)
@@ -396,28 +415,89 @@ func (c *Client) get(path string, query url.Values, out wire.Message) bool {
 // the client's context aborts the in-flight request and cuts the
 // backoff short, naming the cause. roundTrip reports whether the
 // request succeeded; on false the client has already failed (and, in
-// degraded mode, out is untouched).
-func (c *Client) roundTrip(path string, query url.Values, in, out wire.Message) bool {
+// degraded mode, out is untouched). A post to a topic (topic != "")
+// that cancellation cut short is kept for DropTopic to settle.
+func (c *Client) roundTrip(path string, query url.Values, in, out wire.Message, topic string) bool {
 	core := c.core
-	codec := wire.JSON
-	if core.cfg.Codec == wire.Binary.Name() {
-		codec = wire.Binary
-	}
-	ins := wire.NewInstruments(core.cfg.Telemetry, core.cfg.TelemetryPrefix, path)
-	method, u := http.MethodGet, core.baseURL+path
+	u := core.baseURL + path
 	if len(query) > 0 {
 		u += "?" + query.Encode()
 	}
+	ins := wire.NewInstruments(core.cfg.Telemetry, core.cfg.TelemetryPrefix, path)
 	var body []byte
 	var id string
 	if in != nil {
-		method = http.MethodPost
 		var err error
-		if body, err = encodeBody(codec, in, ins); err != nil {
+		if body, err = encodeBody(core.codec, in, ins); err != nil {
 			c.fail(err)
 			return false
 		}
 		id = c.requestID()
+	}
+	err := c.send(path, u, body, id, ins, out)
+	if err == nil {
+		return true
+	}
+	if topic != "" && c.ctx.Err() != nil {
+		core.keepPending(topic, pendingPost{path: path, body: body, id: id, at: time.Now()})
+	}
+	c.fail(err)
+	return false
+}
+
+// keepPending records a cut-short post to topic for settle, first
+// pruning every kept post older than DefaultDedupeMaxAge: the server
+// has forgotten its request id, so the fence no longer holds for it,
+// and a topic never dropped through this client (it moved to another
+// shard, say) must not hold its posts forever.
+func (core *clientCore) keepPending(topic string, p pendingPost) {
+	core.pendMu.Lock()
+	defer core.pendMu.Unlock()
+	for name, posts := range core.pending {
+		posts = slices.DeleteFunc(posts, func(q pendingPost) bool {
+			return p.at.Sub(q.at) > DefaultDedupeMaxAge
+		})
+		if len(posts) == 0 {
+			delete(core.pending, name)
+		} else {
+			core.pending[name] = posts
+		}
+	}
+	core.pending[topic] = append(core.pending[topic], p)
+}
+
+// settle re-sends, under c's context and with their original request
+// ids, the posts to topic that cancellation cut short. A cut-short
+// request may still be applied by the server later, after the topic
+// was dropped, where the next run reusing the topic's name would read
+// it. The re-sent copy closes that window: the server's dedupe window
+// acknowledges a post it already applied (or is applying) without
+// applying it again, and applies one it never saw, so a late original
+// is then a duplicate.
+func (c *Client) settle(topic string) {
+	core := c.core
+	core.pendMu.Lock()
+	posts := core.pending[topic]
+	delete(core.pending, topic)
+	core.pendMu.Unlock()
+	for _, p := range posts {
+		// A failed re-send is given up: the drop that follows goes to the
+		// same server and reports the failure if the transport is down.
+		ins := wire.NewInstruments(core.cfg.Telemetry, core.cfg.TelemetryPrefix, p.path)
+		_ = c.send(p.path, core.baseURL+p.path, p.body, p.id, ins, nil)
+	}
+}
+
+// send runs roundTrip's retry loop for one request to url u: a POST of
+// body labelled with request id when body is non-nil, else a GET whose
+// reply is decoded into out. It returns nil on success and the last
+// attempt's failure otherwise.
+func (c *Client) send(path, u string, body []byte, id string, ins wire.Instruments, out wire.Message) error {
+	core := c.core
+	codec := core.codec
+	method := http.MethodGet
+	if body != nil {
+		method = http.MethodPost
 	}
 	reqs, lat := c.instruments(path)
 	var lastErr error
@@ -429,16 +509,15 @@ func (c *Client) roundTrip(path string, query url.Values, in, out wire.Message) 
 			}
 		}
 		var rd io.Reader
-		if in != nil {
+		if body != nil {
 			rd = bytes.NewReader(body)
 		}
 		req, err := http.NewRequestWithContext(c.traceContext(), method, u, rd)
 		if err != nil {
-			c.fail(err)
-			return false
+			return err
 		}
 		req.Header.Set(HeaderProto, ProtoVersion)
-		if in != nil {
+		if body != nil {
 			req.Header.Set("Content-Type", codec.ContentType())
 			req.Header.Set(HeaderRequestID, id)
 			ins.BytesOut.Add(int64(len(body)))
@@ -478,10 +557,9 @@ func (c *Client) roundTrip(path string, query url.Values, in, out wire.Message) 
 			lastErr = fmt.Errorf("%s %s: %v", method, path, err)
 			continue
 		}
-		return true
+		return nil
 	}
-	c.fail(lastErr)
-	return false
+	return lastErr
 }
 
 // PostProbe implements billboard.Interface: a one-element PostProbes.
@@ -579,7 +657,7 @@ func (c *Client) ProbeCount() int64 { return c.stats().ProbeCount }
 
 // Post implements billboard.Interface.
 func (c *Client) Post(name string, player int, v bitvec.Partial) {
-	c.post(PathVector, &vectorPost{Topic: name, Player: player, Bits: wire.Bits{P: v}})
+	c.roundTrip(PathVector, nil, &vectorPost{Topic: name, Player: player, Bits: wire.Bits{P: v}}, nil, name)
 }
 
 // PostVector implements billboard.Interface.
@@ -664,7 +742,7 @@ func (c *Client) PopularVectors(name string, minVotes int) []bitvec.Partial {
 
 // PostValues implements billboard.Interface.
 func (c *Client) PostValues(name string, player int, vals []uint32) {
-	c.post(PathValues, &valuesPost{Topic: name, Player: player, Vals: vals})
+	c.roundTrip(PathValues, nil, &valuesPost{Topic: name, Player: player, Vals: vals}, nil, name)
 }
 
 // ValuePostings implements billboard.Interface.
@@ -687,8 +765,10 @@ func (c *Client) ValueVotes(name string) []billboard.ValueVote {
 	return nil
 }
 
-// DropTopic implements billboard.Interface.
+// DropTopic implements billboard.Interface. It first settles the
+// topic's cut-short posts, so none of them can land after the drop.
 func (c *Client) DropTopic(name string) {
+	c.settle(name)
 	c.post(PathDropTopic, &dropPost{Topic: name})
 	c.forget(name)
 }

@@ -303,21 +303,11 @@ func (cl *Cluster) LookupProbes(p int, objs []int, grades []byte, known []bool) 
 	})
 }
 
-// ProbedObjects implements billboard.Interface. Objects are
-// partitioned across shards, so the per-shard maps are disjoint.
+// ProbedObjects implements billboard.Interface over ForEachProbe's
+// merged per-shard read.
 func (cl *Cluster) ProbedObjects(p int) map[int]byte {
 	out := make(map[int]byte)
-	var mu sync.Mutex
-	_, clients := cl.topo()
-	scatter(len(clients), func(k int) {
-		sc := cl.bind(clients[k])
-		m := sc.ProbedObjects(p)
-		mu.Lock()
-		for o, g := range m {
-			out[o] = g
-		}
-		mu.Unlock()
-	})
+	cl.ForEachProbe(p, func(o int, g byte) { out[o] = g })
 	return out
 }
 

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"tellme/internal/telemetry"
+	"tellme/internal/wire"
 )
 
 // Default client tuning; see Config.
@@ -143,5 +144,9 @@ func NewClientWithConfig(baseURL string, cfg Config) *Client {
 	if cfg.TelemetryPrefix == "" {
 		cfg.TelemetryPrefix = DefaultTelemetryPrefix
 	}
-	return &Client{ctx: context.Background(), core: &clientCore{baseURL: baseURL, cfg: cfg}}
+	codec := wire.JSON
+	if cfg.Codec == wire.Binary.Name() {
+		codec = wire.Binary
+	}
+	return &Client{ctx: context.Background(), core: &clientCore{baseURL: baseURL, cfg: cfg, codec: codec, pending: map[string][]pendingPost{}}}
 }

@@ -4,8 +4,10 @@
 // it, so the unchanged algorithm code runs with players and board in
 // different processes.
 //
-// The wire format is JSON. Vectors travel as their '0'/'1'/'?' string
-// form (debuggable with curl); value vectors as plain arrays. There is
+// Every endpoint speaks two wire codecs (package wire, DESIGN.md §15),
+// picked per request: JSON, where vectors travel as their '0'/'1'/'?'
+// string form (debuggable with curl) and value vectors as plain arrays,
+// and a binary codec that ships vectors as packed bit-planes. There is
 // no authentication, but the transport is built to survive a faulty
 // network (see DESIGN.md §8 for the full wire contract):
 //

@@ -428,6 +428,14 @@ func (e *Engine) RunEpoch(ctx context.Context) (sim.EpochPlan, error) {
 	return plan, err
 }
 
+// probeClearer is the admin surface for releasing a player's probe
+// storage, implemented by billboard.Board, netboard.Client and
+// netboard.Cluster (it is deliberately not part of the algorithm-facing
+// boardclient.Interface).
+type probeClearer interface {
+	ClearProbes(p int, objs []int)
+}
+
 // applyBoundary finalizes the churn the scheduler applied at
 // BeginEpoch: slots whose leave took effect (marked leaving and absent
 // from the plan's member set) are released — identity unregistered,
@@ -490,29 +498,26 @@ func (e *Engine) compute(ctx context.Context, inst *prefs.Instance, plan sim.Epo
 		epCtx, cancel = context.WithTimeout(ctx, e.cfg.EpochTimeout)
 		defer cancel()
 	}
-	// Track every topic the epoch posts so its scratch can be dropped
-	// afterwards — success or abort — keeping the long-lived board from
-	// accumulating phase topics (and keeping later epochs, whose
-	// deterministic topic tags restart from #1, from colliding with a
-	// leaked one).
-	tb := &trackingBoard{Interface: boardclient.BindContext(epCtx, e.board)}
-	defer tb.cleanup(e.board)
+	epoch := int(plan.Epoch)
+	var popts []probe.Option
+	if epCtx.Done() != nil {
+		popts = append(popts, probe.WithContext(epCtx))
+	}
+	engine := probe.NewEngine(inst, e.board, e.src.Child("engine", epoch), popts...)
+	env := core.NewEnv(engine, e.runner, e.src.Child("public", epoch), e.coreCfg)
+	env.Telemetry = e.cfg.Telemetry
 
+	// An aborted epoch leaves its in-flight scratch topics open; drop
+	// them through the unbound board, or the next epoch, whose
+	// deterministic topic tags restart from #1, would read them as its
+	// own. A completed epoch has already dropped everything it opened.
+	defer env.DropOpenTopics(e.board, e.cfg.EpochTimeout)
 	defer func() {
 		if rec := recover(); rec != nil {
 			outs, refreshed = nil, false
 			err = core.RecoveredErr(rec)
 		}
 	}()
-
-	epoch := int(plan.Epoch)
-	var popts []probe.Option
-	if epCtx.Done() != nil {
-		popts = append(popts, probe.WithContext(epCtx))
-	}
-	engine := probe.NewEngine(inst, tb, e.src.Child("engine", epoch), popts...)
-	env := core.NewEnv(engine, e.runner, e.src.Child("public", epoch), e.coreCfg)
-	env.Telemetry = e.cfg.Telemetry
 
 	if len(plan.Members) == 0 {
 		return make([]bitvec.Partial, e.cfg.Capacity), false, nil

@@ -3,12 +3,17 @@ package serve
 import (
 	"context"
 	"errors"
+	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"tellme/internal/billboard"
 	"tellme/internal/bitvec"
+	"tellme/internal/netboard"
 )
 
 // vec parses a '0'/'1' string into a Vector.
@@ -254,6 +259,82 @@ func TestBoardStaysClean(t *testing.T) {
 	}
 	if pc := board.ProbeCount(); pc != 0 {
 		t.Fatalf("%d probe results left after every player retired", pc)
+	}
+}
+
+// TestCancelledEpochOnRemoteBoardLeavesNoTopics aborts an epoch whose
+// board is a netboard client: the epoch's context is cancelled after the
+// server has applied the k-th value post. The aborted epoch must leave
+// no topic on the server, and the retried epoch must publish exactly
+// what a never-aborted engine publishes for its first epoch.
+func TestCancelledEpochOnRemoteBoardLeavesNoTopics(t *testing.T) {
+	const m, capacity = 16, 8
+	vs := twoCommunities(t, 3, m)
+	joinAll := func(e *Engine) {
+		t.Helper()
+		for _, v := range vs {
+			if _, err := e.Join(v); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	ref, err := New(Config{M: m, Capacity: capacity, Alpha: 0.4, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	joinAll(ref)
+	if _, err := ref.RunEpoch(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	want := ref.Snapshot()
+
+	for _, k := range []int64{1, 4} {
+		t.Run(fmt.Sprintf("after%d", k), func(t *testing.T) {
+			board := billboard.New(capacity, m)
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			var posts atomic.Int64
+			h := netboard.NewServer(board)
+			srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				h.ServeHTTP(w, r)
+				if r.URL.Path == netboard.PathValues && posts.Add(1) == k {
+					cancel()
+				}
+			}))
+			defer srv.Close()
+			e, err := New(Config{M: m, Capacity: capacity, Alpha: 0.4, Seed: 3, Board: netboard.NewClient(srv.URL)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			joinAll(e)
+
+			if _, err := e.RunEpoch(ctx); !errors.Is(err, context.Canceled) {
+				t.Fatalf("err = %v, want a cancelled epoch", err)
+			}
+			if e.Snapshot() != nil {
+				t.Fatal("an aborted epoch published a snapshot")
+			}
+			if tc := board.TopicCount(); tc != 0 {
+				t.Fatalf("%d topics left on the server after an aborted epoch: %v", tc, board.Topics())
+			}
+
+			if _, err := e.RunEpoch(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			got := e.Snapshot()
+			if got.Epoch != want.Epoch || got.Refresh != want.Refresh || len(got.Outputs) != len(want.Outputs) {
+				t.Fatalf("retried epoch %d refresh %v with %d outputs, want %d %v %d",
+					got.Epoch, got.Refresh, len(got.Outputs), want.Epoch, want.Refresh, len(want.Outputs))
+			}
+			for id, w := range want.Outputs {
+				if got.Outputs[id].String() != w.String() {
+					t.Fatalf("player %d: retried epoch %s, never-aborted engine %s", id, got.Outputs[id].String(), w.String())
+				}
+			}
+			if tc := board.TopicCount(); tc != 0 {
+				t.Fatalf("%d topics left on the server after the retried epoch", tc)
+			}
+		})
 	}
 }
 

@@ -335,10 +335,10 @@ func RunContext(ctx context.Context, in *Instance, opt Options) (*Report, error)
 	env.Telemetry = opt.Telemetry
 
 	start := time.Now()
-	outputs, runErr := execute(env, in, opt, cfg)
+	outputs, runErr := execute(env, board, in, opt, cfg)
 	elapsed := time.Since(start)
 
-	st := metrics.Probes(engine, in.N, nil)
+	st := metrics.Probes(engine)
 	rep := &Report{
 		Outputs:          outputs,
 		MaxProbes:        st.Max,
@@ -388,8 +388,11 @@ func gradeCommunities(in *Instance, outputs []Partial) []CommunityReport {
 // execute dispatches to the selected algorithm and converts an abort —
 // cancellation or a player panic, unwound through the recursion as a
 // panic because the algorithms return values, not errors — into a
-// *RunError at this single boundary.
-func execute(env *core.Env, in *Instance, opt Options, cfg Config) (outputs []Partial, err error) {
+// *RunError at this single boundary. On every exit it drops the topics
+// the run left open through board, the run's unbound board (see
+// core.Env.DropOpenTopics).
+func execute(env *core.Env, board boardclient.Interface, in *Instance, opt Options, cfg Config) (outputs []Partial, err error) {
+	defer env.DropOpenTopics(board, opt.Timeout)
 	defer func() {
 		if rec := recover(); rec != nil {
 			// Report the last completed epoch's checkpoint (nil when the
@@ -523,9 +526,9 @@ func RunRefreshContext(ctx context.Context, in *Instance, stale []Partial, opt R
 	objs := ints.Iota(in.M)
 	red, maxP := core.RefreshBudget(opt.ExpectedDrift)
 	start := time.Now()
-	outputs, runErr := executeRefresh(env, players, objs, stale, opt, red, maxP)
+	outputs, runErr := executeRefresh(env, board, players, objs, stale, opt, red, maxP)
 	elapsed := time.Since(start)
-	st := metrics.Probes(engine, in.N, nil)
+	st := metrics.Probes(engine)
 	rep := &Report{
 		Outputs:     outputs,
 		MaxProbes:   st.Max,
@@ -544,9 +547,10 @@ func RunRefreshContext(ctx context.Context, in *Instance, stale []Partial, opt R
 	return rep, nil
 }
 
-// executeRefresh runs Refresh under the same abort-recovery boundary as
-// execute.
-func executeRefresh(env *core.Env, players, objs []int, stale []Partial, opt RefreshOptions, red, maxP int) (outputs []Partial, err error) {
+// executeRefresh runs Refresh under the same abort-recovery and topic
+// cleanup boundary as execute.
+func executeRefresh(env *core.Env, board boardclient.Interface, players, objs []int, stale []Partial, opt RefreshOptions, red, maxP int) (outputs []Partial, err error) {
+	defer env.DropOpenTopics(board, opt.Timeout)
 	defer func() {
 		if rec := recover(); rec != nil {
 			outputs, _ = env.Checkpoint()
